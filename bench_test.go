@@ -11,6 +11,7 @@ package elsi
 // and use cmd/elsibench for the full-scale, human-readable rows.
 
 import (
+	"context"
 	"io"
 	"os"
 	"sync"
@@ -138,13 +139,13 @@ func BenchmarkAblationSPvsRSP(b *testing.B) {
 	b.Run("SP", func(b *testing.B) {
 		m := &methods.SP{Rho: 0.01, Trainer: tr}
 		for i := 0; i < b.N; i++ {
-			m.BuildModel(d)
+			m.BuildModel(context.Background(), d)
 		}
 	})
 	b.Run("RSP", func(b *testing.B) {
 		m := &methods.RSP{Rho: 0.01, Trainer: tr, Seed: 1}
 		for i := 0; i < b.N; i++ {
-			m.BuildModel(d)
+			m.BuildModel(context.Background(), d)
 		}
 	})
 }

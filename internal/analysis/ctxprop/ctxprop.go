@@ -9,8 +9,8 @@
 //  1. A function with a context.Context parameter must use the
 //     parameter somewhere in its body. A named-but-unused ctx is
 //     exactly the gap that let builds ignore their deadline before
-//     BuildModelCtx landed. (A parameter named _ is an explicit,
-//     visible opt-out and is not flagged.)
+//     the build pipeline took a context. (A parameter named _ is an
+//     explicit, visible opt-out and is not flagged.)
 //
 //  2. An exported function with no context parameter must not call
 //     context.Background() or context.TODO(): it should accept the

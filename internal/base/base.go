@@ -72,40 +72,22 @@ type ModelBuilder interface {
 	// Name identifies the builder ("OG", "ELSI", or a method name).
 	Name() string
 	// BuildModel trains a model for d and computes its empirical error
-	// bounds over all of d.Keys.
-	BuildModel(d *SortedData) (*rmi.Bounded, BuildStats)
+	// bounds over all of d.Keys. It returns an error (instead of an
+	// index) when the build is cancelled, blows its budget, or fails;
+	// it must not return (nil, _, nil).
+	BuildModel(ctx context.Context, d *SortedData) (*rmi.Bounded, BuildStats, error)
 }
 
-// ContextModelBuilder is implemented by builders that support
-// cooperative cancellation and in-band failure: the fault-tolerant
-// build pipeline prefers this entry point. BuildModelCtx returns an
-// error (instead of an index) when the build is cancelled, blows its
-// budget, or fails; it must not return (nil, _, nil).
-type ContextModelBuilder interface {
-	ModelBuilder
-	BuildModelCtx(ctx context.Context, d *SortedData) (*rmi.Bounded, BuildStats, error)
-}
-
-// BuildModelCtx builds through b's context-aware entry point when it
-// has one; otherwise it runs the legacy BuildModel under panic
-// isolation, so even a pre-context builder cannot crash the caller.
+// BuildModelCtx runs b.BuildModel under panic isolation: a builder may
+// still panic (injected faults, hostile inputs) and must fail the
+// attempt, not the caller.
 func BuildModelCtx(ctx context.Context, b ModelBuilder, d *SortedData) (m *rmi.Bounded, stats BuildStats, err error) {
-	// Panic isolation covers both paths: a context-aware builder may
-	// still panic (injected faults, hostile inputs) and must fail the
-	// attempt, not the caller.
 	defer func() {
 		if pe := parallel.Recovered(recover()); pe != nil {
 			m, stats, err = nil, BuildStats{}, pe
 		}
 	}()
-	if cb, ok := b.(ContextModelBuilder); ok {
-		return cb.BuildModelCtx(ctx, d)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, BuildStats{}, err
-	}
-	m, stats = b.BuildModel(d)
-	return m, stats, nil
+	return b.BuildModel(ctx, d)
 }
 
 // Direct is the OG builder: it trains on the full key set, which is
@@ -119,71 +101,20 @@ type Direct struct {
 // Name implements ModelBuilder.
 func (b *Direct) Name() string { return "OG" }
 
-// BuildModel implements ModelBuilder.
-func (b *Direct) BuildModel(d *SortedData) (*rmi.Bounded, BuildStats) {
-	stats := BuildStats{Method: "OG", TrainSetSize: d.Len()}
-	t0 := time.Now()
-	rmi.CountTraining()
-	m := b.Trainer(d.Keys)
-	stats.TrainTime = time.Since(t0)
-	t0 = time.Now()
-	lo, hi := rmi.ErrorBoundsWorkers(m, d.Keys, b.Workers)
-	stats.BoundsTime = time.Since(t0)
-	stats.ErrWidth = lo + hi
-	return &rmi.Bounded{Model: m, N: d.Len(), ErrLo: lo, ErrHi: hi}, stats
-}
-
-// BuildModelCtx implements ContextModelBuilder. Injection point:
-// "build/OG".
-func (b *Direct) BuildModelCtx(ctx context.Context, d *SortedData) (*rmi.Bounded, BuildStats, error) {
+// BuildModel implements ModelBuilder. Injection point: "build/OG".
+func (b *Direct) BuildModel(ctx context.Context, d *SortedData) (*rmi.Bounded, BuildStats, error) {
 	if err := faults.HitCtx(ctx, "build/OG"); err != nil {
 		return nil, BuildStats{}, err
 	}
-	stats := BuildStats{Method: "OG", TrainSetSize: d.Len()}
-	t0 := time.Now()
-	m, err := rmi.SafeTrain(b.Trainer, d.Keys)
-	stats.TrainTime = time.Since(t0)
-	if err != nil {
-		return nil, BuildStats{}, err
-	}
-	t0 = time.Now()
-	lo, hi, err := rmi.ErrorBoundsCtx(ctx, m, d.Keys, b.Workers)
-	stats.BoundsTime = time.Since(t0)
-	if err != nil {
-		return nil, BuildStats{}, err
-	}
-	stats.ErrWidth = lo + hi
-	return &rmi.Bounded{Model: m, N: d.Len(), ErrLo: lo, ErrHi: hi}, stats, nil
+	return FromKeysCtx(ctx, "OG", b.Trainer, d.Keys, d, 0, b.Workers)
 }
 
-// FromKeys finishes a model build given the reduced training keys:
-// train on trainKeys, bound against the full d.Keys. Building methods
-// share this tail of the pipeline.
-func FromKeys(method string, trainer rmi.Trainer, trainKeys []float64, d *SortedData, reduceTime time.Duration) (*rmi.Bounded, BuildStats) {
-	return FromKeysWorkers(method, trainer, trainKeys, d, reduceTime, 0)
-}
-
-// FromKeysWorkers is FromKeys with an explicit worker count for the
-// error-bound scan (0 = GOMAXPROCS). The scan is the pipeline's M(n)
-// term, so this is where the pool methods spend most of their build
-// time once |Ds| << n.
-func FromKeysWorkers(method string, trainer rmi.Trainer, trainKeys []float64, d *SortedData, reduceTime time.Duration, workers int) (*rmi.Bounded, BuildStats) {
-	stats := BuildStats{Method: method, TrainSetSize: len(trainKeys), ReduceTime: reduceTime}
-	t0 := time.Now()
-	rmi.CountTraining()
-	m := trainer(trainKeys)
-	stats.TrainTime = time.Since(t0)
-	t0 = time.Now()
-	lo, hi := rmi.ErrorBoundsWorkers(m, d.Keys, workers)
-	stats.BoundsTime = time.Since(t0)
-	stats.ErrWidth = lo + hi
-	return &rmi.Bounded{Model: m, N: d.Len(), ErrLo: lo, ErrHi: hi}, stats
-}
-
-// FromKeysCtx is FromKeysWorkers with cancellation and panic
-// isolation: training runs under rmi.SafeTrain and the error-bound
-// scan checks ctx at block boundaries. The context-aware pool builders
-// share this tail.
+// FromKeysCtx finishes a model build given the reduced training keys:
+// train on trainKeys under rmi.SafeTrain, then bound against the full
+// d.Keys with workers goroutines (0 = GOMAXPROCS), checking ctx at
+// block boundaries. Every builder shares this tail of the pipeline;
+// the scan is its M(n) term, so this is where the pool methods spend
+// most of their build time once |Ds| << n.
 func FromKeysCtx(ctx context.Context, method string, trainer rmi.Trainer, trainKeys []float64, d *SortedData, reduceTime time.Duration, workers int) (*rmi.Bounded, BuildStats, error) {
 	stats := BuildStats{Method: method, TrainSetSize: len(trainKeys), ReduceTime: reduceTime}
 	t0 := time.Now()
@@ -193,7 +124,7 @@ func FromKeysCtx(ctx context.Context, method string, trainer rmi.Trainer, trainK
 		return nil, BuildStats{}, err
 	}
 	t0 = time.Now()
-	lo, hi, err := rmi.ErrorBoundsCtx(ctx, m, d.Keys, workers)
+	lo, hi, err := rmi.ErrorBounds(ctx, m, d.Keys, workers)
 	stats.BoundsTime = time.Since(t0)
 	if err != nil {
 		return nil, BuildStats{}, err

@@ -1,6 +1,7 @@
 package base
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"time"
@@ -50,7 +51,10 @@ func TestDirectBuildsAndBounds(t *testing.T) {
 	if b.Name() != "OG" {
 		t.Errorf("Name = %s", b.Name())
 	}
-	m, stats := b.BuildModel(d)
+	m, stats, err := b.BuildModel(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stats.Method != "OG" || stats.TrainSetSize != 100 {
 		t.Errorf("stats = %+v", stats)
 	}
@@ -70,7 +74,10 @@ func TestFromKeysStats(t *testing.T) {
 	d := Prepare(pts, geo.UnitRect, xMap)
 	train := []float64{0, 10, 20, 30, 40, 49}
 	reduceTime := 5 * time.Millisecond
-	m, stats := FromKeys("SP", rmi.LinearTrainer(), train, d, reduceTime)
+	m, stats, err := FromKeysCtx(context.Background(), "SP", rmi.LinearTrainer(), train, d, reduceTime, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if stats.Method != "SP" {
 		t.Errorf("Method = %s", stats.Method)
 	}

@@ -228,7 +228,7 @@ func (e *Env) TrainPerIndexScorer(indexName string, cards []int, dists []float64
 		for _, q := range queries {
 			ix.PointQuery(q)
 		}
-		querySec := time.Since(t0).Seconds() / float64(maxI(len(queries), 1))
+		querySec := time.Since(t0).Seconds() / float64(max(len(queries), 1))
 		return buildSec, querySec, nil
 	}
 	samples, err := scorer.GenerateSamplesMeasured(gen, core.PoolForIndex(indexName), measure)
@@ -240,11 +240,4 @@ func (e *Env) TrainPerIndexScorer(indexName string, cards []int, dists []float64
 		return nil, nil, err
 	}
 	return sc, samples, nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

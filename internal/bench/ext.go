@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -107,8 +108,14 @@ func ExtParallel(w io.Writer, e *Env) error {
 // ExtTheory contrasts the empirical error bounds of Algorithm 1
 // (model-dependent M(n) pass) with the PGM-style theoretical bounds
 // derived from the piecewise trainer's eps guarantee — the future-work
-// direction of Section IV-A.
+// direction of Section IV-A. ExtTheoryCtx is the cancellable form.
 func ExtTheory(w io.Writer, e *Env) error {
+	return ExtTheoryCtx(context.Background(), w, e)
+}
+
+// ExtTheoryCtx is ExtTheory with build cancellation: ctx is threaded
+// into every empirical-bounds build.
+func ExtTheoryCtx(ctx context.Context, w io.Writer, e *Env) error {
 	pts := dataset.MustGenerate(dataset.OSM1, e.N, e.Seed)
 	ix := zm.New(zm.Config{Space: geo.UnitRect, Builder: e.ogBuilder()})
 	d := base.Prepare(pts, geo.UnitRect, ix.MapKey)
@@ -123,8 +130,11 @@ func ExtTheory(w io.Writer, e *Env) error {
 		row(tw, "theoretical", fmt.Sprintf("1/%d", int(1/eps)), secs(theoTime), theo.ErrBoundsWidth(), "yes")
 
 		t0 = time.Now()
-		emp := rmi.NewBounded(rmi.PiecewiseTrainer(eps), d.Keys, d.Keys)
+		emp, err := rmi.NewBounded(ctx, rmi.PiecewiseTrainer(eps), d.Keys, d.Keys, 0)
 		empTime := time.Since(t0)
+		if err != nil {
+			return err
+		}
 		row(tw, "empirical", fmt.Sprintf("1/%d", int(1/eps)), secs(empTime), emp.ErrBoundsWidth(), "no (measured)")
 	}
 	return nil

@@ -184,7 +184,7 @@ func ExtConcurrentCtx(ctx context.Context, w io.Writer, e *Env) error {
 	}
 	initial := dataset.MustGenerate(dataset.OSM1, n0, e.Seed)
 	rng := rand.New(rand.NewSource(e.Seed + 331))
-	qs := dataset.QueriesFromData(rng, initial, maxI(e.Queries, 200))
+	qs := dataset.QueriesFromData(rng, initial, max(e.Queries, 200))
 	inserts := dataset.SkewedPoints(rng, n0, 4)
 	// the during-rebuild phase samples until the rebuild completes; the
 	// cap only bounds memory if a build drags on for many seconds
@@ -221,7 +221,7 @@ func ExtConcurrentCtx(ctx context.Context, w io.Writer, e *Env) error {
 		}
 
 		// steady state before any update pressure
-		report("steady", sampleLatenciesWhile(proc, qs, func() bool { return true }, maxI(e.Queries, 200)))
+		report("steady", sampleLatenciesWhile(proc, qs, func() bool { return true }, max(e.Queries, 200)))
 
 		// concurrent load: a writer streams skewed inserts while the
 		// rebuild runs and the main goroutine keeps querying
@@ -263,7 +263,7 @@ func ExtConcurrentCtx(ctx context.Context, w io.Writer, e *Env) error {
 		report("during-rebuild", during)
 
 		// steady state again, on the rebuilt index
-		report("after-swap", sampleLatenciesWhile(proc, qs, func() bool { return true }, maxI(e.Queries, 200)))
+		report("after-swap", sampleLatenciesWhile(proc, qs, func() bool { return true }, max(e.Queries, 200)))
 	}
 	return nil
 }

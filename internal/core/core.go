@@ -81,7 +81,7 @@ type Config struct {
 	// a model within it is cancelled and the next rung tries with a
 	// fresh budget. Zero means no per-attempt budget. The terminal
 	// piecewise rung ignores it — it is the guarantee that BuildModel
-	// always returns an index.
+	// returns an index whenever its own context is live.
 	BuildTimeout time.Duration
 	// Workload, when Derived, seeds the live preference: method ranking
 	// uses its λ/wQ instead of the Lambda/WQ constants until a newer
@@ -189,30 +189,16 @@ func MustNewSystem(cfg Config) *System {
 func (s *System) Name() string { return "ELSI" }
 
 // BuildModel implements base.ModelBuilder: summarize, select, reduce,
-// train, bound. Failures (errors, panics, blown budgets) in the
-// selected method fall down the degradation ladder; the terminal
-// piecewise rung cannot fail, so BuildModel always returns an index.
-func (s *System) BuildModel(d *base.SortedData) (*rmi.Bounded, base.BuildStats) {
-	b, stats, err := s.BuildModelCtx(context.Background(), d)
-	if err != nil {
-		// Unreachable with a background context: every rung above can
-		// fail, but the terminal rung only returns the parent context's
-		// error.
-		panic(err)
-	}
-	return b, stats
-}
-
-// BuildModelCtx is BuildModel with cooperative cancellation and the
-// degradation ladder made explicit. The selected method runs first;
-// on error, panic, or a blown per-attempt budget (Config.BuildTimeout)
-// the build falls to the next-ranked pool method, then RSP, then OG,
-// and finally to a piecewise-linear build with theoretical bounds that
-// cannot fail. Each rung gets a fresh budget. A non-nil error is
+// train, bound, with cooperative cancellation and an explicit
+// degradation ladder. The selected method runs first; on error, panic,
+// or a blown per-attempt budget (Config.BuildTimeout) the build falls
+// to the next-ranked pool method, then RSP, then OG, and finally to a
+// piecewise-linear build with theoretical bounds that cannot fail.
+// Each rung gets a fresh budget. A non-nil error is
 // returned only when ctx itself is cancelled; otherwise the index is
 // never nil. Fallbacks are recorded in the returned BuildStats
 // (Selected, Fallbacks) and the per-method counters (Fallbacks()).
-func (s *System) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
+func (s *System) BuildModel(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
 	ladder := s.ladder(d)
 	selected := ladder[0]
 	s.mu.Lock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"elsi/internal/base"
@@ -45,6 +46,16 @@ func prepared(name string, n int, seed int64) *base.SortedData {
 	return base.Prepare(pts, geo.UnitRect, func(p geo.Point) float64 {
 		return float64(curve.ZEncode(p, geo.UnitRect))
 	})
+}
+
+// build runs s with a background context, failing the test on error.
+func build(t testing.TB, s *System, d *base.SortedData) (*rmi.Bounded, base.BuildStats) {
+	t.Helper()
+	m, stats, err := s.BuildModel(context.Background(), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, stats
 }
 
 func TestNewSystemValidation(t *testing.T) {
@@ -94,7 +105,7 @@ func TestLambdaZeroHonored(t *testing.T) {
 func TestFixedSelectorDelegates(t *testing.T) {
 	s := MustNewSystem(Config{Trainer: testTrainer(), Selector: SelectorFixed, Fixed: methods.NameSP})
 	d := prepared(dataset.OSM1, 5000, 1)
-	m, stats := s.BuildModel(d)
+	m, stats := build(t, s, d)
 	if stats.Method != methods.NameSP {
 		t.Errorf("method = %s", stats.Method)
 	}
@@ -114,7 +125,7 @@ func TestRandomSelectorCoversPool(t *testing.T) {
 		Pool: []string{methods.NameSP, methods.NameRS, methods.NameMR}})
 	d := prepared(dataset.Uniform, 1000, 2)
 	for i := 0; i < 30; i++ {
-		s.BuildModel(d)
+		s.BuildModel(context.Background(), d)
 	}
 	sel := s.Selections()
 	if len(sel) < 2 {
@@ -138,7 +149,7 @@ func TestLearnedSelectorEndToEnd(t *testing.T) {
 		Lambda: 0.8, Seed: 1,
 	})
 	d := prepared(dataset.OSM1, 8000, 3)
-	m, stats := s.BuildModel(d)
+	m, stats := build(t, s, d)
 	if stats.Method == "" {
 		t.Fatal("no method recorded")
 	}
@@ -210,7 +221,7 @@ func TestBuildersOverride(t *testing.T) {
 		Builders: map[string]base.ModelBuilder{methods.NameSP: custom},
 	})
 	d := prepared(dataset.Uniform, 1000, 5)
-	_, stats := s.BuildModel(d)
+	_, stats := build(t, s, d)
 	// rho 0.5 keeps ~half the keys, unlike the default 0.0001
 	if stats.TrainSetSize < 400 {
 		t.Errorf("override ignored: train set %d", stats.TrainSetSize)
@@ -224,7 +235,7 @@ func TestRandomSelectorConcurrencySafe(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func() {
 			for i := 0; i < 10; i++ {
-				s.BuildModel(d)
+				s.BuildModel(context.Background(), d)
 			}
 			done <- struct{}{}
 		}()

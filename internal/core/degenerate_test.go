@@ -64,7 +64,7 @@ func TestSystemDegenerateData(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			d := prepared0(pts)
 			s := fixedSystem(t, methods.NameSP, 0)
-			m, _ := s.BuildModel(d)
+			m, _ := build(t, s, d)
 			checkCovers(t, m, d)
 		})
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"elsi/internal/base"
@@ -26,7 +27,11 @@ func ExampleSystem_fixedMethod() {
 	d := base.Prepare(pts, geo.UnitRect, func(p geo.Point) float64 {
 		return float64(curve.ZEncode(p, geo.UnitRect))
 	})
-	model, stats := sys.BuildModel(d)
+	model, stats, err := sys.BuildModel(context.Background(), d)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 
 	misses := 0
 	for i, k := range d.Keys {

@@ -63,7 +63,7 @@ func TestLadderFallsBackEveryMethodEveryMode(t *testing.T) {
 				point := "build/" + method
 				faults.Enable(point, faults.Fault{Mode: mode})
 				s := fixedSystem(t, method, 50*time.Millisecond)
-				m, stats := s.BuildModel(d)
+				m, stats := build(t, s, d)
 				if faults.Hits(point) == 0 {
 					t.Fatalf("fault at %s never fired", point)
 				}
@@ -98,7 +98,7 @@ func TestLadderTerminalRung(t *testing.T) {
 	}
 	d := prepared(dataset.Uniform, 2000, 3)
 	s := fixedSystem(t, methods.NameSP, 0)
-	m, stats := s.BuildModel(d)
+	m, stats := build(t, s, d)
 	if stats.Method != methodPW {
 		t.Fatalf("stats.Method = %q, want %q", stats.Method, methodPW)
 	}
@@ -119,7 +119,7 @@ func TestLadderBoundsScanFault(t *testing.T) {
 	faults.Enable("bounds/scan", faults.Fault{Mode: faults.ModeError, Times: 1})
 	d := prepared(dataset.Uniform, 2000, 5)
 	s := fixedSystem(t, methods.NameSP, 0)
-	m, stats := s.BuildModel(d)
+	m, stats := build(t, s, d)
 	if stats.Fallbacks != 1 {
 		t.Errorf("stats.Fallbacks = %d, want 1", stats.Fallbacks)
 	}
@@ -137,7 +137,7 @@ func TestBuildModelCtxParentCancellation(t *testing.T) {
 	s := fixedSystem(t, methods.NameSP, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m, _, err := s.BuildModelCtx(ctx, d)
+	m, _, err := s.BuildModel(ctx, d)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -154,7 +154,7 @@ func TestBuildModelCtxParentCancellation(t *testing.T) {
 func TestNoFaultsNoFallbacks(t *testing.T) {
 	d := prepared(dataset.Uniform, 2000, 9)
 	s := fixedSystem(t, methods.NameSP, 0)
-	m, stats := s.BuildModel(d)
+	m, stats := build(t, s, d)
 	if stats.Selected != methods.NameSP || stats.Method != methods.NameSP {
 		t.Errorf("Selected/Method = %q/%q, want SP/SP", stats.Selected, stats.Method)
 	}

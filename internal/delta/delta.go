@@ -406,10 +406,3 @@ func del(n *node, id int64) (*node, bool) {
 	}
 	return fix(n), removed
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

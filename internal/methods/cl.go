@@ -29,15 +29,10 @@ type CL struct {
 // Name implements base.ModelBuilder.
 func (m *CL) Name() string { return NameCL }
 
-// BuildModel implements base.ModelBuilder.
-func (m *CL) BuildModel(d *base.SortedData) (*rmi.Bounded, base.BuildStats) {
-	return mustBuild(m.BuildModelCtx(context.Background(), d))
-}
-
-// BuildModelCtx implements base.ContextModelBuilder. Injection point:
+// BuildModel implements base.ModelBuilder. Injection point:
 // "build/CL". The Lloyd iterations — the pool's most expensive reduce
 // step, O(C*n*i) — observe ctx at iteration boundaries.
-func (m *CL) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
+func (m *CL) BuildModel(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
 	if err := faults.HitCtx(ctx, "build/"+NameCL); err != nil {
 		return nil, base.BuildStats{}, err
 	}
@@ -46,7 +41,7 @@ func (m *CL) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounde
 	if iters <= 0 {
 		iters = 10
 	}
-	centroids, err := KMeansCtx(ctx, d.Pts, m.C, iters, m.Seed)
+	centroids, err := KMeans(ctx, d.Pts, m.C, iters, m.Seed)
 	if err != nil {
 		return nil, base.BuildStats{}, err
 	}
@@ -59,16 +54,10 @@ func (m *CL) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounde
 }
 
 // KMeans runs Lloyd's algorithm with k-means++-style seeding and
-// returns the cluster centroids. Empty clusters keep their previous
-// centers. k is clamped to [minTrainSet, len(pts)].
-func KMeans(pts []geo.Point, k, iterations int, seed int64) []geo.Point {
-	centers, _ := KMeansCtx(context.Background(), pts, k, iterations, seed)
-	return centers
-}
-
-// KMeansCtx is KMeans with cooperative cancellation at Lloyd iteration
-// boundaries; a background context reproduces KMeans exactly.
-func KMeansCtx(ctx context.Context, pts []geo.Point, k, iterations int, seed int64) ([]geo.Point, error) {
+// returns the cluster centroids, checking ctx at Lloyd iteration
+// boundaries. Empty clusters keep their previous centers. k is clamped
+// to [minTrainSet, len(pts)].
+func KMeans(ctx context.Context, pts []geo.Point, k, iterations int, seed int64) ([]geo.Point, error) {
 	n := len(pts)
 	if n == 0 {
 		return nil, nil

@@ -72,31 +72,15 @@ type SP struct {
 // Name implements base.ModelBuilder.
 func (m *SP) Name() string { return NameSP }
 
-// BuildModel implements base.ModelBuilder.
-func (m *SP) BuildModel(d *base.SortedData) (*rmi.Bounded, base.BuildStats) {
-	return mustBuild(m.BuildModelCtx(context.Background(), d))
-}
-
-// BuildModelCtx implements base.ContextModelBuilder. Injection point:
+// BuildModel implements base.ModelBuilder. Injection point:
 // "build/SP".
-func (m *SP) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
+func (m *SP) BuildModel(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
 	if err := faults.HitCtx(ctx, "build/"+NameSP); err != nil {
 		return nil, base.BuildStats{}, err
 	}
 	t0 := time.Now()
 	keys := SystematicSampleMin(d.Keys, m.Rho, m.MinKeys)
 	return base.FromKeysCtx(ctx, NameSP, m.Trainer, keys, d, time.Since(t0), m.Workers)
-}
-
-// mustBuild adapts a context-aware build result to the legacy
-// BuildModel contract. With a background context and no armed faults
-// the only possible error is a recovered trainer panic, which the
-// legacy contract would have propagated as a panic anyway.
-func mustBuild(b *rmi.Bounded, stats base.BuildStats, err error) (*rmi.Bounded, base.BuildStats) {
-	if err != nil {
-		panic(err)
-	}
-	return b, stats
 }
 
 // SystematicSample returns every stride-th key of sorted keys for a
@@ -156,14 +140,9 @@ type RSP struct {
 // Name implements base.ModelBuilder.
 func (m *RSP) Name() string { return NameRSP }
 
-// BuildModel implements base.ModelBuilder.
-func (m *RSP) BuildModel(d *base.SortedData) (*rmi.Bounded, base.BuildStats) {
-	return mustBuild(m.BuildModelCtx(context.Background(), d))
-}
-
-// BuildModelCtx implements base.ContextModelBuilder. Injection point:
+// BuildModel implements base.ModelBuilder. Injection point:
 // "build/RSP".
-func (m *RSP) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
+func (m *RSP) BuildModel(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
 	if err := faults.HitCtx(ctx, "build/"+NameRSP); err != nil {
 		return nil, base.BuildStats{}, err
 	}

@@ -41,12 +41,32 @@ func allBuilders() []base.ModelBuilder {
 	}
 }
 
+// build runs b with a background context, failing the test on error.
+func build(t testing.TB, b base.ModelBuilder, d *base.SortedData) (*rmi.Bounded, base.BuildStats) {
+	t.Helper()
+	m, stats, err := b.BuildModel(context.Background(), d)
+	if err != nil {
+		t.Fatalf("%s: %v", b.Name(), err)
+	}
+	return m, stats
+}
+
+// mustKMeans is KMeans with a background context and seed 1.
+func mustKMeans(t testing.TB, pts []geo.Point, k, iterations int) []geo.Point {
+	t.Helper()
+	centers, err := KMeans(context.Background(), pts, k, iterations, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return centers
+}
+
 func TestEveryBuilderProducesUsableModel(t *testing.T) {
 	d := prepare(t, dataset.OSM1, 5000, 1)
 	for _, b := range allBuilders() {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			m, stats := b.BuildModel(d)
+			m, stats := build(t, b, d)
 			if m == nil {
 				t.Fatal("nil model")
 			}
@@ -84,7 +104,7 @@ func TestReducedSetsAreSmall(t *testing.T) {
 		&RLM{Eta: 4, Steps: 100, Trainer: tr, Seed: 1},
 	}
 	for _, b := range builders {
-		_, stats := b.BuildModel(d)
+		_, stats := build(t, b, d)
 		if stats.TrainSetSize >= d.Len()/10 {
 			t.Errorf("%s: |Ds| = %d not << n = %d", b.Name(), stats.TrainSetSize, d.Len())
 		}
@@ -158,7 +178,7 @@ func TestKMeans(t *testing.T) {
 		pts = append(pts, geo.Point{X: 0.2 + rng.NormFloat64()*0.01, Y: 0.2 + rng.NormFloat64()*0.01})
 		pts = append(pts, geo.Point{X: 0.8 + rng.NormFloat64()*0.01, Y: 0.8 + rng.NormFloat64()*0.01})
 	}
-	centers := KMeans(pts, 2, 20, 1)
+	centers := mustKMeans(t, pts, 2, 20)
 	if len(centers) != 2 {
 		t.Fatalf("got %d centers", len(centers))
 	}
@@ -172,11 +192,11 @@ func TestKMeans(t *testing.T) {
 }
 
 func TestKMeansEdges(t *testing.T) {
-	if got := KMeans(nil, 5, 3, 1); got != nil {
+	if got := mustKMeans(t, nil, 5, 3); got != nil {
 		t.Errorf("empty input: %v", got)
 	}
 	pts := []geo.Point{{X: 0.5, Y: 0.5}}
-	got := KMeans(pts, 10, 3, 1)
+	got := mustKMeans(t, pts, 10, 3)
 	if len(got) != 1 {
 		t.Errorf("k clamped to n: %d centers", len(got))
 	}
@@ -200,7 +220,7 @@ func TestMRPicksSimilarCDF(t *testing.T) {
 	// something closer than uniform.
 	d := prepare(t, dataset.Skewed, 10000, 5)
 	mr := &MR{Epsilon: 0.2, SynthSize: 1000, Trainer: fastTrainer(), Seed: 1}
-	m, stats := mr.BuildModel(d)
+	m, stats := build(t, mr, d)
 	if stats.TrainTime != 0 {
 		t.Errorf("MR should not train online, TrainTime = %v", stats.TrainTime)
 	}
@@ -208,7 +228,10 @@ func TestMRPicksSimilarCDF(t *testing.T) {
 	// model must do clearly better than predicting uniformly.
 	uniform := rmi.LinearTrainer()(nil) // const 0 model is useless; build explicit uniform
 	_ = uniform
-	lo, hi := rmi.ErrorBounds(uniformModel{min: d.Keys[0], max: d.Keys[d.Len()-1]}, d.Keys)
+	lo, hi, err := rmi.ErrorBounds(context.Background(), uniformModel{min: d.Keys[0], max: d.Keys[d.Len()-1]}, d.Keys, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.ErrLo+m.ErrHi >= lo+hi {
 		t.Errorf("MR bounds %d not better than uniform-CDF bounds %d", m.ErrLo+m.ErrHi, lo+hi)
 	}
@@ -325,8 +348,8 @@ func TestBuildTimeOrdering(t *testing.T) {
 	ffn := rmi.FFNTrainer(rmi.FFNConfig{Hidden: 8, Epochs: 25, Seed: 1})
 	sp := &SP{Rho: 0.001, Trainer: ffn}
 	og := &base.Direct{Trainer: ffn}
-	_, sStats := sp.BuildModel(d)
-	_, oStats := og.BuildModel(d)
+	_, sStats := build(t, sp, d)
+	_, oStats := build(t, og, d)
 	if sStats.TrainTime*2 >= oStats.TrainTime {
 		t.Errorf("SP train %v not clearly faster than OG %v", sStats.TrainTime, oStats.TrainTime)
 	}

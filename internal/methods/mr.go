@@ -93,15 +93,10 @@ func (m *MR) PoolSize() int {
 }
 
 // BuildModel implements base.ModelBuilder: find the synthetic set most
-// similar to d's (normalized) key CDF and reuse its model.
-func (m *MR) BuildModel(d *base.SortedData) (*rmi.Bounded, base.BuildStats) {
-	return mustBuild(m.BuildModelCtx(context.Background(), d))
-}
-
-// BuildModelCtx implements base.ContextModelBuilder. Injection point:
-// "build/MR". The pool similarity scan observes ctx between
+// similar to d's (normalized) key CDF and reuse its model. Injection
+// point: "build/MR". The pool similarity scan observes ctx between
 // candidates.
-func (m *MR) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
+func (m *MR) BuildModel(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
 	if err := faults.HitCtx(ctx, "build/"+NameMR); err != nil {
 		return nil, base.BuildStats{}, err
 	}
@@ -140,7 +135,7 @@ func (m *MR) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounde
 		TrainTime:    0, // reuse: no online training
 	}
 	t0 = time.Now()
-	eLo, eHi, err := rmi.ErrorBoundsCtx(ctx, model, d.Keys, m.Workers)
+	eLo, eHi, err := rmi.ErrorBounds(ctx, model, d.Keys, m.Workers)
 	stats.BoundsTime = time.Since(t0)
 	if err != nil {
 		return nil, base.BuildStats{}, err

@@ -37,15 +37,10 @@ type RLM struct {
 // Name implements base.ModelBuilder.
 func (m *RLM) Name() string { return NameRL }
 
-// BuildModel implements base.ModelBuilder.
-func (m *RLM) BuildModel(d *base.SortedData) (*rmi.Bounded, base.BuildStats) {
-	return mustBuild(m.BuildModelCtx(context.Background(), d))
-}
-
-// BuildModelCtx implements base.ContextModelBuilder. Injection point:
+// BuildModel implements base.ModelBuilder. Injection point:
 // "build/RL". The DQN search loop observes ctx at step boundaries and
 // finishes with the best synthetic set found so far.
-func (m *RLM) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
+func (m *RLM) BuildModel(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
 	if err := faults.HitCtx(ctx, "build/"+NameRL); err != nil {
 		return nil, base.BuildStats{}, err
 	}

@@ -32,14 +32,9 @@ type RS struct {
 // Name implements base.ModelBuilder.
 func (m *RS) Name() string { return NameRS }
 
-// BuildModel implements base.ModelBuilder.
-func (m *RS) BuildModel(d *base.SortedData) (*rmi.Bounded, base.BuildStats) {
-	return mustBuild(m.BuildModelCtx(context.Background(), d))
-}
-
-// BuildModelCtx implements base.ContextModelBuilder. Injection point:
+// BuildModel implements base.ModelBuilder. Injection point:
 // "build/RS".
-func (m *RS) BuildModelCtx(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
+func (m *RS) BuildModel(ctx context.Context, d *base.SortedData) (*rmi.Bounded, base.BuildStats, error) {
 	if err := faults.HitCtx(ctx, "build/"+NameRS); err != nil {
 		return nil, base.BuildStats{}, err
 	}

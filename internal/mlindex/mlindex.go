@@ -145,7 +145,7 @@ func (ix *Index) BuildCtx(ctx context.Context, pts []geo.Point) error {
 	if len(sample) == 0 {
 		ix.refs = []geo.Point{ix.cfg.Space.Center()}
 	} else {
-		refs, err := methods.KMeansCtx(ctx, sample, ix.cfg.Refs, 10, ix.cfg.Seed)
+		refs, err := methods.KMeans(ctx, sample, ix.cfg.Refs, 10, ix.cfg.Seed)
 		if err != nil {
 			return err
 		}
@@ -175,7 +175,7 @@ func (ix *Index) BuildCtx(ctx context.Context, pts []geo.Point) error {
 	// partition order so the report is worker-count-independent.
 	statsByStart := make(map[int]base.BuildStats, ix.cfg.Fanout)
 	var mu sync.Mutex
-	staged, err := rmi.NewStagedParallelCtx(ctx, d.Keys, ix.cfg.Fanout, ix.cfg.RootTrainer, func(start int, part []float64) (*rmi.Bounded, error) {
+	staged, err := rmi.NewStaged(ctx, d.Keys, ix.cfg.Fanout, ix.cfg.RootTrainer, func(start int, part []float64) (*rmi.Bounded, error) {
 		sub := &base.SortedData{
 			Pts:   d.Pts[start : start+len(part)],
 			Keys:  part,

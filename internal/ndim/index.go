@@ -142,7 +142,7 @@ func (ix *Index) BuildCtx(ctx context.Context, pts []Point) error {
 		train = RepresentativeKeys(ix.pts, ix.space, ix.rsBeta)
 	}
 	ix.trainSize = len(train)
-	model, err := rmi.NewBoundedCtx(ctx, ix.trainer, train, ix.keys, ix.workers)
+	model, err := rmi.NewBounded(ctx, ix.trainer, train, ix.keys, ix.workers)
 	if err != nil {
 		return err
 	}
@@ -292,11 +292,4 @@ func rootD(v float64, d int) float64 {
 		return 0
 	}
 	return math.Pow(v, 1/float64(d))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

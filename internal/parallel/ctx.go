@@ -50,15 +50,20 @@ func Recovered(r any) *PanicError {
 	return &PanicError{Value: r, Stack: debug.Stack()}
 }
 
-// errSink collects the first error produced by a set of workers.
-// Panics outrank cancellations: a recovered panic replaces a
-// previously recorded context error, never the other way around.
-type errSink struct {
+// ErrSink collects the first error from a set of concurrent workers:
+// panics outrank other errors — a recovered panic replaces a
+// previously recorded context error, never the other way around — and
+// the first wins otherwise. The zero value is ready to use;
+// Record(nil) is a no-op. The package's own kernels and the pipeline
+// stages that run their own goroutines (staged leaf builds, background
+// rebuilds) share it.
+type ErrSink struct {
 	mu  sync.Mutex
 	err error
 }
 
-func (s *errSink) record(err error) {
+// Record stores err per the sink's precedence rules.
+func (s *ErrSink) Record(err error) {
 	if err == nil {
 		return
 	}
@@ -75,24 +80,12 @@ func (s *errSink) record(err error) {
 	}
 }
 
-func (s *errSink) get() error {
+// Get returns the recorded error, if any.
+func (s *ErrSink) Get() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
 }
-
-// ErrSink collects the first error from a set of concurrent workers
-// with the same precedence as the package's own kernels: panics
-// outrank other errors, first wins otherwise. The zero value is ready
-// to use; Record(nil) is a no-op. Exported for pipeline stages (staged
-// leaf builds, background rebuilds) that run their own goroutines.
-type ErrSink struct{ s errSink }
-
-// Record stores err per the sink's precedence rules.
-func (s *ErrSink) Record(err error) { s.s.record(err) }
-
-// Get returns the recorded error, if any.
-func (s *ErrSink) Get() error { return s.s.get() }
 
 // ctxBlock is the cooperative cancellation granularity: workers check
 // the context between blocks of this many indices. It matches
@@ -141,18 +134,18 @@ func ForCtx(ctx context.Context, n, workers int, fn func(lo, hi int)) error {
 		}
 		return nil
 	}
-	var sink errSink
+	var sink ErrSink
 	var wg sync.WaitGroup
 	wg.Add(nc)
 	for c := 0; c < nc; c++ {
 		lo, hi := c*n/nc, (c+1)*n/nc
 		go func(lo, hi int) {
 			defer wg.Done()
-			sink.record(forBlocks(ctx, lo, hi, fn))
+			sink.Record(forBlocks(ctx, lo, hi, fn))
 		}(lo, hi)
 	}
 	wg.Wait()
-	return sink.get()
+	return sink.Get()
 }
 
 // DoCtx runs the given functions concurrently and waits for all of
@@ -161,38 +154,43 @@ func ForCtx(ctx context.Context, n, workers int, fn func(lo, hi int)) error {
 // cooperative cancellation). The first panic, else the first returned
 // error, else ctx's error is returned.
 func DoCtx(ctx context.Context, fns ...func() error) error {
-	var sink errSink
+	var sink ErrSink
 	run := func(fn func() error) error {
 		defer func() {
 			if pe := Recovered(recover()); pe != nil {
-				sink.record(pe)
+				sink.Record(pe)
 			}
 		}()
 		return fn()
 	}
 	if len(fns) == 1 {
-		sink.record(run(fns[0]))
+		sink.Record(run(fns[0]))
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(len(fns))
 		for _, fn := range fns {
 			go func(fn func() error) {
 				defer wg.Done()
-				sink.record(run(fn))
+				sink.Record(run(fn))
 			}(fn)
 		}
 		wg.Wait()
 	}
-	if err := sink.get(); err != nil {
+	if err := sink.Get(); err != nil {
 		return err
 	}
 	return ctx.Err()
 }
 
-// MaxReduceCtx is MaxReduce with cooperative cancellation and panic
-// isolation. On a nil error the maxima are identical to MaxReduce's
-// (max is order- and split-independent); on a non-nil error the maxima
-// are partial and must be discarded.
+// MaxReduceCtx evaluates chunk over the contiguous chunks of [0, n) in
+// parallel and returns the element-wise maxima of the (a, b) pairs —
+// the reduction the empirical error-bound scan (Algorithm 1, line 6)
+// runs over the full data set. Max is commutative and associative, so
+// the result is independent of chunk completion order and worker
+// count. Workers check ctx at block boundaries (every ctxBlock indices)
+// and stop early when it is done, and a panicking chunk is recovered
+// into a *PanicError instead of crashing the process. On a non-nil
+// error the maxima are partial and must be discarded.
 func MaxReduceCtx(ctx context.Context, n, workers int, chunk func(lo, hi int) (a, b int)) (maxA, maxB int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
@@ -219,7 +217,7 @@ func MaxReduceCtx(ctx context.Context, n, workers int, chunk func(lo, hi int) (a
 	}
 	as := make([]int, nc)
 	bs := make([]int, nc)
-	var sink errSink
+	var sink ErrSink
 	var wg sync.WaitGroup
 	wg.Add(nc)
 	for c := 0; c < nc; c++ {
@@ -228,11 +226,11 @@ func MaxReduceCtx(ctx context.Context, n, workers int, chunk func(lo, hi int) (a
 			defer wg.Done()
 			var e error
 			as[c], bs[c], e = reduce(lo, hi)
-			sink.record(e)
+			sink.Record(e)
 		}(c, lo, hi)
 	}
 	wg.Wait()
-	if err := sink.get(); err != nil {
+	if err := sink.Get(); err != nil {
 		return 0, 0, err
 	}
 	maxA, maxB = as[0], bs[0]

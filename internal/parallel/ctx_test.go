@@ -138,6 +138,8 @@ func TestDoCtx(t *testing.T) {
 	}
 }
 
+// TestMaxReduceCtxMatchesMaxReduce checks the parallel reduction against one
+// serial call of chunk over the whole range.
 func TestMaxReduceCtxMatchesMaxReduce(t *testing.T) {
 	n := 50000
 	vals := make([]int, n)
@@ -156,7 +158,7 @@ func TestMaxReduceCtxMatchesMaxReduce(t *testing.T) {
 		}
 		return a, b
 	}
-	wantA, wantB := MaxReduce(n, 4, chunk)
+	wantA, wantB := chunk(0, n)
 	for _, workers := range []int{1, 2, 7} {
 		a, b, err := MaxReduceCtx(context.Background(), n, workers, chunk)
 		if err != nil {
@@ -171,23 +173,54 @@ func TestMaxReduceCtxMatchesMaxReduce(t *testing.T) {
 func TestMaxReduceCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := MaxReduceCtx(ctx, 10000, 4, func(lo, hi int) (int, int) { return 0, 0 })
+	ran := false
+	_, _, err := MaxReduceCtx(ctx, 10000, 4, func(lo, hi int) (int, int) { ran = true; return 0, 0 })
+	if !errors.Is(err, context.Canceled) || ran {
+		t.Fatalf("pre-cancelled MaxReduceCtx = %v (ran=%v), want context.Canceled", err, ran)
+	}
+
+	// Cancelled mid-run: workers stop at the next block boundary.
+	ctx, cancel = context.WithCancel(context.Background())
+	var visited atomic.Int64
+	n := 1 << 20
+	_, _, err = MaxReduceCtx(ctx, n, 2, func(lo, hi int) (int, int) {
+		visited.Add(int64(hi - lo))
+		cancel()
+		return 0, 0
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("MaxReduceCtx = %v, want context.Canceled", err)
+	}
+	if v := visited.Load(); v >= int64(n) {
+		t.Fatalf("MaxReduceCtx visited the whole range (%d) despite cancellation", v)
+	}
+
+	// A chunk panic outranks the cancellation it raced with.
+	ctx, cancel = context.WithCancel(context.Background())
+	_, _, err = MaxReduceCtx(ctx, 8192, 4, func(lo, hi int) (int, int) {
+		if lo == 0 {
+			cancel()
+			panic("boom")
+		}
+		return 0, 0
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("MaxReduceCtx = %v, want *PanicError to outrank cancellation", err)
 	}
 }
 
 func TestErrSinkPanicPriority(t *testing.T) {
-	var s errSink
-	s.record(context.Canceled)
-	s.record(&PanicError{Value: "boom"})
+	var s ErrSink
+	s.Record(context.Canceled)
+	s.Record(&PanicError{Value: "boom"})
 	var pe *PanicError
-	if !errors.As(s.get(), &pe) {
-		t.Fatalf("sink = %v, want panic to replace cancellation", s.get())
+	if !errors.As(s.Get(), &pe) {
+		t.Fatalf("sink = %v, want panic to replace cancellation", s.Get())
 	}
 	// But a later non-panic error never replaces anything.
-	s.record(fmt.Errorf("other"))
-	if !errors.As(s.get(), &pe) {
+	s.Record(fmt.Errorf("other"))
+	if !errors.As(s.Get(), &pe) {
 		t.Fatal("non-panic error replaced the recorded panic")
 	}
 }

@@ -68,7 +68,7 @@ func For(n, workers int, fn func(lo, hi int)) {
 		}
 		return
 	}
-	var sink errSink
+	var sink ErrSink
 	var wg sync.WaitGroup
 	wg.Add(nc)
 	for c := 0; c < nc; c++ {
@@ -77,14 +77,14 @@ func For(n, workers int, fn func(lo, hi int)) {
 			defer wg.Done()
 			defer func() {
 				if pe := Recovered(recover()); pe != nil {
-					sink.record(pe)
+					sink.Record(pe)
 				}
 			}()
 			fn(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
-	if err := sink.get(); err != nil {
+	if err := sink.Get(); err != nil {
 		panic(err)
 	}
 }
@@ -99,7 +99,7 @@ func Do(fns ...func()) {
 		fns[0]()
 		return
 	}
-	var sink errSink
+	var sink ErrSink
 	var wg sync.WaitGroup
 	wg.Add(len(fns))
 	for _, fn := range fns {
@@ -107,51 +107,14 @@ func Do(fns ...func()) {
 			defer wg.Done()
 			defer func() {
 				if pe := Recovered(recover()); pe != nil {
-					sink.record(pe)
+					sink.Record(pe)
 				}
 			}()
 			fn()
 		}(fn)
 	}
 	wg.Wait()
-	if err := sink.get(); err != nil {
+	if err := sink.Get(); err != nil {
 		panic(err)
 	}
-}
-
-// MaxReduce evaluates chunk over the contiguous chunks of [0, n) in
-// parallel and returns the element-wise maxima of the (a, b) pairs.
-// Max is commutative and associative, so the result is independent of
-// chunk completion order — the reduction the empirical error-bound
-// scan (Algorithm 1, line 6) runs over the full data set.
-func MaxReduce(n, workers int, chunk func(lo, hi int) (a, b int)) (maxA, maxB int) {
-	nc := chunks(n, workers)
-	if nc == 1 {
-		if n > 0 {
-			return chunk(0, n)
-		}
-		return 0, 0
-	}
-	as := make([]int, nc)
-	bs := make([]int, nc)
-	var wg sync.WaitGroup
-	wg.Add(nc)
-	for c := 0; c < nc; c++ {
-		lo, hi := c*n/nc, (c+1)*n/nc
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			as[c], bs[c] = chunk(lo, hi)
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	maxA, maxB = as[0], bs[0]
-	for c := 1; c < nc; c++ {
-		if as[c] > maxA {
-			maxA = as[c]
-		}
-		if bs[c] > maxB {
-			maxB = bs[c]
-		}
-	}
-	return maxA, maxB
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -69,8 +70,8 @@ func TestMaxReduceMatchesSerial(t *testing.T) {
 				wantB = d
 			}
 		}
-		for _, workers := range []int{1, 2, 8} {
-			a, b := MaxReduce(n, workers, func(lo, hi int) (int, int) {
+		for _, workers := range []int{1, 2, 7, 8} {
+			a, b, err := MaxReduceCtx(context.Background(), n, workers, func(lo, hi int) (int, int) {
 				ca, cb := 0, 0
 				for i := lo; i < hi; i++ {
 					if d := vals[i] - i; d > ca {
@@ -82,8 +83,8 @@ func TestMaxReduceMatchesSerial(t *testing.T) {
 				}
 				return ca, cb
 			})
-			if a != wantA || b != wantB {
-				t.Fatalf("n=%d workers=%d: MaxReduce = (%d, %d), want (%d, %d)", n, workers, a, b, wantA, wantB)
+			if err != nil || a != wantA || b != wantB {
+				t.Fatalf("n=%d workers=%d: MaxReduceCtx = (%d, %d, %v), want (%d, %d)", n, workers, a, b, err, wantA, wantB)
 			}
 		}
 	}
@@ -184,7 +185,7 @@ func BenchmarkMaxReduce1M(b *testing.B) {
 	n := 1 << 20
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaxReduce(n, 0, func(lo, hi int) (int, int) {
+		_, _, _ = MaxReduceCtx(context.Background(), n, 0, func(lo, hi int) (int, int) {
 			a, c := 0, 0
 			for j := lo; j < hi; j++ {
 				if j&1 == 0 && j > a {

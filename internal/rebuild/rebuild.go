@@ -49,7 +49,7 @@ type Features struct {
 
 func (f Features) vector() []float64 {
 	return []float64{
-		math.Log10(float64(maxInt(f.N, 1))) / 9,
+		math.Log10(float64(max(f.N, 1))) / 9,
 		f.Dist,
 		float64(f.Depth) / 20,
 		math.Min(f.UpdateRatio, 8) / 8,
@@ -839,11 +839,4 @@ func (p *Processor) PendingUpdates() int {
 		n += p.frozen.Len()
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package rmi_test
 
 import (
+	"context"
 	"fmt"
 
 	"elsi/internal/rmi"
@@ -20,7 +21,11 @@ func ExampleNewBounded() {
 	for i := 0; i < len(full); i += 100 {
 		reduced = append(reduced, full[i])
 	}
-	m := rmi.NewBounded(rmi.PiecewiseTrainer(1.0/64), reduced, full)
+	m, err := rmi.NewBounded(context.Background(), rmi.PiecewiseTrainer(1.0/64), reduced, full, 0)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 
 	// every stored key is inside its predicted scan range
 	misses := 0

@@ -8,11 +8,13 @@
 package rmi
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
 	"sync"
 
+	"elsi/internal/faults"
 	"elsi/internal/floats"
 	"elsi/internal/nn"
 	"elsi/internal/parallel"
@@ -96,22 +98,45 @@ func PredictorOf(m Model) func(key float64) float64 {
 	return m.PredictCDF
 }
 
+// SafeTrain runs trainer on trainKeys with panic isolation: a panic
+// inside the trainer (NaN-poisoned weights, a degenerate slice bound)
+// comes back as a *parallel.PanicError instead of crashing the
+// process, which is what lets the degradation ladder move on to the
+// next method.
+func SafeTrain(trainer Trainer, trainKeys []float64) (m Model, err error) {
+	defer func() {
+		if pe := parallel.Recovered(recover()); pe != nil {
+			m, err = nil, pe
+		}
+	}()
+	CountTraining()
+	return trainer(trainKeys), nil
+}
+
 // ErrorBounds evaluates m on every key of the sorted full set and
 // returns the maximum over- and under-prediction in rank units
 // (Algorithm 1, line 6: get_error_bound). The scan — the M(n) term
 // that dominates ELSI builds once training is reduced to |Ds| — runs
-// chunked over GOMAXPROCS workers; max is order-independent, so the
-// bounds are identical to a serial scan.
-func ErrorBounds(m Model, sortedKeys []float64) (errLo, errHi int) {
-	return ErrorBoundsWorkers(m, sortedKeys, 0)
-}
-
-// ErrorBoundsWorkers is ErrorBounds with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial). Results are identical for any count.
-func ErrorBoundsWorkers(m Model, sortedKeys []float64, workers int) (errLo, errHi int) {
+// chunked over workers (0 = GOMAXPROCS, 1 = serial); max is
+// order-independent, so the bounds are identical for any worker count.
+// The scan checks ctx at block boundaries and aborts early when the
+// build budget is spent, and a panicking predictor comes back as a
+// *parallel.PanicError. Injection point: "bounds/scan".
+func ErrorBounds(ctx context.Context, m Model, sortedKeys []float64, workers int) (errLo, errHi int, err error) {
+	if err := faults.HitCtx(ctx, "bounds/scan"); err != nil {
+		return 0, 0, err
+	}
 	n := len(sortedKeys)
-	return parallel.MaxReduce(n, workers, func(lo, hi int) (int, int) {
-		predict := PredictorOf(m)
+	// One predictor per worker goroutine, pooled so the block-granular
+	// callback does not allocate scratch per block.
+	pool := sync.Pool{New: func() any {
+		p := PredictorOf(m)
+		return &p
+	}}
+	return parallel.MaxReduceCtx(ctx, n, workers, func(lo, hi int) (int, int) {
+		pp := pool.Get().(*func(key float64) float64)
+		defer pool.Put(pp)
+		predict := *pp
 		cLo, cHi := 0, 0
 		for i := lo; i < hi; i++ {
 			pred := int(predict(sortedKeys[i]) * float64(n))
@@ -133,18 +158,23 @@ func ErrorBoundsWorkers(m Model, sortedKeys []float64, workers int) (errLo, errH
 }
 
 // NewBounded trains a model on trainKeys with the given trainer and
-// computes error bounds against fullKeys (both sorted ascending).
-func NewBounded(trainer Trainer, trainKeys, fullKeys []float64) *Bounded {
-	return NewBoundedWorkers(trainer, trainKeys, fullKeys, 0)
-}
-
-// NewBoundedWorkers is NewBounded with an explicit worker count for the
-// error-bound scan (0 = GOMAXPROCS, 1 = serial).
-func NewBoundedWorkers(trainer Trainer, trainKeys, fullKeys []float64, workers int) *Bounded {
-	CountTraining()
-	m := trainer(trainKeys)
-	lo, hi := ErrorBoundsWorkers(m, fullKeys, workers)
-	return &Bounded{Model: m, N: len(fullKeys), ErrLo: lo, ErrHi: hi}
+// computes error bounds against fullKeys (both sorted ascending) with
+// workers goroutines. Training runs under SafeTrain and the scan under
+// ErrorBounds, so cancellation and panics in either stage come back as
+// an error; on error the returned Bounded is nil.
+func NewBounded(ctx context.Context, trainer Trainer, trainKeys, fullKeys []float64, workers int) (*Bounded, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	m, err := SafeTrain(trainer, trainKeys)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi, err := ErrorBounds(ctx, m, fullKeys, workers)
+	if err != nil {
+		return nil, err
+	}
+	return &Bounded{Model: m, N: len(fullKeys), ErrLo: lo, ErrHi: hi}, nil
 }
 
 // --- FFN model ------------------------------------------------------
@@ -469,91 +499,94 @@ type Staged struct {
 
 // NewStaged builds a staged model over sortedKeys with fanout leaves.
 // rootTrainer builds the dispatch model (trained on the full key set,
-// typically with a cheap trainer); leafTrainer builds each leaf model
-// (this is where an ELSI-wrapped trainer plugs in).
-func NewStaged(sortedKeys []float64, fanout int, rootTrainer, leafTrainer Trainer) *Staged {
+// typically with a cheap trainer); buildLeaf builds each leaf Bounded
+// from the partition's global start rank and its keys — ELSI runs its
+// full per-model pipeline (method selection, reduced set, error
+// bounds) there.
+//
+// Leaves are built by up to workers goroutines (0 = GOMAXPROCS, 1 =
+// serial), so buildLeaf must be safe for concurrent use. The index
+// models of different partitions are independent, which is what makes
+// learned-index bulk loading parallelizable; the partition boundaries
+// and each leaf's training input depend only on the keys and the
+// fanout, so the resulting index is identical for any worker count.
+//
+// buildLeaf may fail (a cancelled or failed per-leaf build), leaf
+// builder panics are recovered into *parallel.PanicError, and no new
+// leaves start once ctx is done. On any error the partial Staged is
+// discarded and the first error (panics outranking cancellations) is
+// returned.
+func NewStaged(ctx context.Context, sortedKeys []float64, fanout int, rootTrainer Trainer, buildLeaf func(start int, part []float64) (*Bounded, error), workers int) (*Staged, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	n := len(sortedKeys)
 	if fanout < 1 {
 		fanout = 1
 	}
-	s := &Staged{root: NewBounded(rootTrainer, sortedKeys, sortedKeys), n: n}
-	s.splits = make([]int, fanout+1)
-	for i := 0; i <= fanout; i++ {
-		s.splits[i] = i * n / fanout
+	workers = parallel.Resolve(workers)
+	root, err := NewBounded(ctx, rootTrainer, sortedKeys, sortedKeys, workers)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < fanout; i++ {
-		part := sortedKeys[s.splits[i]:s.splits[i+1]]
-		var b *Bounded
-		if len(part) == 0 {
-			b = &Bounded{Model: constModel(0), N: 0}
-		} else {
-			b = NewBounded(leafTrainer, part, part)
-		}
-		s.leaves = append(s.leaves, b)
-	}
-	return s
-}
-
-// NewStagedWithLeafBuilder is NewStaged but lets the caller build each
-// leaf Bounded directly — ELSI uses this to run its full per-model
-// pipeline (method selection, reduced set, error bounds) on every leaf.
-// buildLeaf receives the partition's global start rank and its keys.
-func NewStagedWithLeafBuilder(sortedKeys []float64, fanout int, rootTrainer Trainer, buildLeaf func(start int, part []float64) *Bounded) *Staged {
-	return newStaged(sortedKeys, fanout, rootTrainer, buildLeaf, 1)
-}
-
-// NewStagedParallel is NewStagedWithLeafBuilder with leaves built by up
-// to workers goroutines (0 = GOMAXPROCS, 1 = serial). The index models
-// of different partitions are independent, which is what makes
-// learned-index bulk loading parallelizable; buildLeaf must be safe for
-// concurrent use. The partition boundaries and each leaf's training
-// input depend only on the keys and the fanout, so the resulting index
-// is identical for any worker count.
-func NewStagedParallel(sortedKeys []float64, fanout int, rootTrainer Trainer, buildLeaf func(start int, part []float64) *Bounded, workers int) *Staged {
-	return newStaged(sortedKeys, fanout, rootTrainer, buildLeaf, parallel.Resolve(workers))
-}
-
-func newStaged(sortedKeys []float64, fanout int, rootTrainer Trainer, buildLeaf func(start int, part []float64) *Bounded, workers int) *Staged {
-	n := len(sortedKeys)
-	if fanout < 1 {
-		fanout = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	s := &Staged{root: NewBounded(rootTrainer, sortedKeys, sortedKeys), n: n}
+	s := &Staged{root: root, n: n}
 	s.splits = make([]int, fanout+1)
 	for i := 0; i <= fanout; i++ {
 		s.splits[i] = i * n / fanout
 	}
 	s.leaves = make([]*Bounded, fanout)
-	build := func(i int) {
+	var sink parallel.ErrSink
+	build := func(i int) (err error) {
+		defer func() {
+			if pe := parallel.Recovered(recover()); pe != nil {
+				err = pe
+			}
+		}()
 		part := sortedKeys[s.splits[i]:s.splits[i+1]]
 		if len(part) == 0 {
 			s.leaves[i] = &Bounded{Model: constModel(0), N: 0}
-			return
+			return nil
 		}
-		s.leaves[i] = buildLeaf(s.splits[i], part)
+		b, err := buildLeaf(s.splits[i], part)
+		if err != nil {
+			return err
+		}
+		s.leaves[i] = b
+		return nil
 	}
 	if workers == 1 {
 		for i := 0; i < fanout; i++ {
-			build(i)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if err := build(i); err != nil {
+				return nil, err
+			}
 		}
-		return s
+		return s, nil
 	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
 	for i := 0; i < fanout; i++ {
+		if ctx.Err() != nil {
+			break
+		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			build(i)
+			sink.Record(build(i))
 		}(i)
 	}
 	wg.Wait()
-	return s
+	if err := sink.Get(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // leafIndex returns the leaf whose rank range contains global rank r:

@@ -1,6 +1,7 @@
 package rmi
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -71,7 +72,7 @@ func TestErrorBoundsGuaranteeContainment(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	keys := sortedKeys(rng, 3000, 3)
 	for name, tr := range testTrainers() {
-		b := NewBounded(tr, keys, keys)
+		b := bounded(t, tr, keys, keys)
 		for i, k := range keys {
 			lo, hi := b.SearchRange(k)
 			if i < lo || i >= hi {
@@ -91,7 +92,7 @@ func TestErrorBoundsOnReducedTrainingSet(t *testing.T) {
 	for i := 0; i < len(full); i += 50 {
 		small = append(small, full[i])
 	}
-	b := NewBounded(LinearTrainer(), small, full)
+	b := bounded(t, LinearTrainer(), small, full)
 	for i, k := range full {
 		lo, hi := b.SearchRange(k)
 		if i < lo || i >= hi {
@@ -127,9 +128,9 @@ func TestPiecewiseDuplicateKeys(t *testing.T) {
 	if v := m.PredictCDF(1); v < 0 || v > 1 {
 		t.Errorf("PredictCDF(1) = %v", v)
 	}
-	lo, hi := ErrorBounds(m, keys)
-	if lo < 0 || hi < 0 {
-		t.Errorf("bounds %d/%d negative", lo, hi)
+	lo, hi, err := ErrorBounds(context.Background(), m, keys, 0)
+	if err != nil || lo < 0 || hi < 0 {
+		t.Errorf("bounds %d/%d, err %v", lo, hi, err)
 	}
 	b := &Bounded{Model: m, N: len(keys), ErrLo: lo, ErrHi: hi}
 	for i, k := range keys {
@@ -165,7 +166,7 @@ func TestErrBoundsWidth(t *testing.T) {
 func TestStagedFindsAllKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	keys := sortedKeys(rng, 4000, 4)
-	s := NewStaged(keys, 8, LinearTrainer(), PiecewiseTrainer(1.0/128))
+	s := staged(t, keys, 8, LinearTrainer(), PiecewiseTrainer(1.0/128))
 	for i, k := range keys {
 		lo, hi := s.SearchRangeWide(k)
 		if i < lo || i >= hi {
@@ -184,13 +185,16 @@ func TestStagedWithLeafBuilder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	keys := sortedKeys(rng, 1000, 2)
 	builds := 0
-	s := NewStagedWithLeafBuilder(keys, 4, LinearTrainer(), func(start int, part []float64) *Bounded {
+	s, err := NewStaged(context.Background(), keys, 4, LinearTrainer(), func(start int, part []float64) (*Bounded, error) {
 		builds++
 		if start < 0 || start+len(part) > len(keys) {
 			t.Fatalf("bad start %d for part of %d", start, len(part))
 		}
-		return NewBounded(LinearTrainer(), part, part)
-	})
+		return bounded(t, LinearTrainer(), part, part), nil
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if builds != 4 {
 		t.Errorf("leaf builder called %d times, want 4", builds)
 	}
@@ -203,7 +207,7 @@ func TestStagedWithLeafBuilder(t *testing.T) {
 }
 
 func TestStagedDegenerate(t *testing.T) {
-	s := NewStaged(nil, 4, LinearTrainer(), LinearTrainer())
+	s := staged(t, nil, 4, LinearTrainer(), LinearTrainer())
 	lo, hi := s.SearchRange(1)
 	if lo != 0 || hi != 0 {
 		t.Errorf("empty staged SearchRange = [%d,%d)", lo, hi)
@@ -213,7 +217,7 @@ func TestStagedDegenerate(t *testing.T) {
 		t.Errorf("empty staged SearchRangeWide = [%d,%d)", lo, hi)
 	}
 	// fanout below 1 is clamped
-	s2 := NewStaged([]float64{1, 2, 3}, 0, LinearTrainer(), LinearTrainer())
+	s2 := staged(t, []float64{1, 2, 3}, 0, LinearTrainer(), LinearTrainer())
 	if len(s2.Leaves()) != 1 {
 		t.Errorf("clamped fanout leaves = %d", len(s2.Leaves()))
 	}
@@ -222,7 +226,7 @@ func TestStagedDegenerate(t *testing.T) {
 func TestQuickSearchRangeAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	keys := sortedKeys(rng, 1000, 3)
-	b := NewBounded(PiecewiseTrainer(1.0/64), keys, keys)
+	b := bounded(t, PiecewiseTrainer(1.0/64), keys, keys)
 	f := func(raw float64) bool {
 		k := math.Mod(math.Abs(raw), 2) // may lie outside key domain
 		lo, hi := b.SearchRange(k)
@@ -239,8 +243,8 @@ func TestFFNBeatsTrivialOnSkew(t *testing.T) {
 	// learned the CDF.
 	rng := rand.New(rand.NewSource(9))
 	keys := sortedKeys(rng, 3000, 5)
-	ffn := NewBounded(FFNTrainer(FFNConfig{Hidden: 16, Epochs: 150, Seed: 1}), keys, keys)
-	trivial := NewBounded(func([]float64) Model { return ConstModel(0.5) }, keys, keys)
+	ffn := bounded(t, FFNTrainer(FFNConfig{Hidden: 16, Epochs: 150, Seed: 1}), keys, keys)
+	trivial := bounded(t, func([]float64) Model { return ConstModel(0.5) }, keys, keys)
 	if ffn.ErrBoundsWidth() >= trivial.ErrBoundsWidth()/2 {
 		t.Errorf("FFN width %d not better than trivial %d", ffn.ErrBoundsWidth(), trivial.ErrBoundsWidth())
 	}
@@ -315,7 +319,7 @@ func TestTheoreticalVsEmpiricalWidth(t *testing.T) {
 	keys := sortedKeys(rng, 5000, 3)
 	eps := 1.0 / 64
 	theo := NewBoundedTheoretical(keys, eps)
-	emp := NewBounded(PiecewiseTrainer(eps), keys, keys)
+	emp := bounded(t, PiecewiseTrainer(eps), keys, keys)
 	if emp.ErrBoundsWidth() > theo.ErrBoundsWidth()+2 {
 		t.Errorf("empirical width %d exceeds theoretical %d", emp.ErrBoundsWidth(), theo.ErrBoundsWidth())
 	}
@@ -368,7 +372,7 @@ func TestRadixSplineMatchesNoTable(t *testing.T) {
 func TestRadixSplineContainment(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	keys := sortedKeys(rng, 5000, 4)
-	b := NewBounded(RadixSplineTrainer(1.0/128, 10), keys, keys)
+	b := bounded(t, RadixSplineTrainer(1.0/128, 10), keys, keys)
 	for i, k := range keys {
 		lo, hi := b.SearchRange(k)
 		if i < lo || i >= hi {
@@ -424,7 +428,7 @@ func TestStagedTinyInputsRouting(t *testing.T) {
 			for i := range keys {
 				keys[i] = float64(i+1) / float64(n+1)
 			}
-			s := NewStaged(keys, fanout, LinearTrainer(), LinearTrainer())
+			s := staged(t, keys, fanout, LinearTrainer(), LinearTrainer())
 			for i, k := range keys {
 				lo, hi := s.SearchRangeWide(k)
 				if i < lo || i >= hi {

@@ -73,7 +73,7 @@ func TestModelCodecRoundtrip(t *testing.T) {
 
 func TestBoundedCodecRoundtrip(t *testing.T) {
 	keys := trainKeys(3000, 2)
-	b := NewBounded(PiecewiseTrainer(1.0/64), keys, keys)
+	b := bounded(t, PiecewiseTrainer(1.0/64), keys, keys)
 	enc, err := AppendBounded(nil, b)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestBoundedCodecRoundtrip(t *testing.T) {
 
 func TestStagedCodecRoundtrip(t *testing.T) {
 	keys := trainKeys(5000, 4)
-	st := NewStaged(keys, 8, LinearTrainer(), PiecewiseTrainer(1.0/64))
+	st := staged(t, keys, 8, LinearTrainer(), PiecewiseTrainer(1.0/64))
 	enc, err := AppendStaged(nil, st)
 	if err != nil {
 		t.Fatal(err)

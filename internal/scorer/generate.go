@@ -120,8 +120,8 @@ func GenerateSamplesCtx(ctx context.Context, cfg GenConfig) []Sample {
 					Method:       name,
 					N:            n,
 					Dist:         dist,
-					BuildSpeedup: ogBuild / maxF(b, 1e-9),
-					QuerySpeedup: ogQuery / maxF(q, 1e-12),
+					BuildSpeedup: ogBuild / max(b, 1e-9),
+					QuerySpeedup: ogQuery / max(q, 1e-12),
 				})
 			}
 		}
@@ -181,13 +181,6 @@ func MeasureDist(d *base.SortedData) float64 {
 	return kstest.DistanceToUniform(d.Keys, d.Keys[0], d.Keys[d.Len()-1])
 }
 
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // IndexMeasurer builds a full base index with the given model builder
 // and reports its build time and average point-query time. The bench
 // harness supplies one per base index so ground truth can be measured
@@ -231,8 +224,8 @@ func GenerateSamplesMeasured(cfg GenConfig, pool []string, measure IndexMeasurer
 					Method:       name,
 					N:            n,
 					Dist:         dist,
-					BuildSpeedup: ogBuild / maxF(b, 1e-9),
-					QuerySpeedup: ogQuery / maxF(q, 1e-12),
+					BuildSpeedup: ogBuild / max(b, 1e-9),
+					QuerySpeedup: ogQuery / max(q, 1e-12),
 				})
 			}
 		}

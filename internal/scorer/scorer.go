@@ -48,7 +48,7 @@ func features(method string, n int, dist float64) []float64 {
 			break
 		}
 	}
-	x[6] = math.Log10(float64(maxInt(n, 1))) / 9 // normalized by the paper's 10^9 scale
+	x[6] = math.Log10(float64(max(n, 1))) / 9 // normalized by the paper's 10^9 scale
 	x[7] = dist
 	return x
 }
@@ -300,7 +300,7 @@ func (c *classifierSelector) Select(n int, dist float64) string {
 // dataFeatures encodes only the data set summary (for classifiers,
 // which output the method rather than taking it as input).
 func dataFeatures(n int, dist float64) []float64 {
-	return []float64{math.Log10(float64(maxInt(n, 1))) / 9, dist}
+	return []float64{math.Log10(float64(max(n, 1))) / 9, dist}
 }
 
 // TrainComparator builds a Figure 6(b) comparator selector of the
@@ -347,13 +347,6 @@ func TrainComparator(family Family, samples []Sample, lambda, wQ float64, seed i
 		return &classifierSelector{model: model, pool: pool}
 	}
 	panic("scorer: unknown comparator family " + string(family))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // SplitSamples partitions the sample groups into train and test sets

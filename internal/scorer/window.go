@@ -149,9 +149,9 @@ func GenerateWindowSamplesCtx(ctx context.Context, cfg GenConfig, areaFrac float
 						continue
 					}
 					w := measureWindows(m, st, wins)
-					s.BuildSpeedup = ogBuild / maxF(b, 1e-9)
-					s.QuerySpeedup = ogQuery / maxF(q, 1e-12)
-					s.WindowSpeedup = ogWindow / maxF(w, 1e-12)
+					s.BuildSpeedup = ogBuild / max(b, 1e-9)
+					s.QuerySpeedup = ogQuery / max(q, 1e-12)
+					s.WindowSpeedup = ogWindow / max(w, 1e-12)
 				}
 				out = append(out, s)
 			}

@@ -140,7 +140,7 @@ func (ix *Index) BuildCtx(ctx context.Context, pts []geo.Point) error {
 	// the worker count, the stats report must not.
 	statsByStart := make(map[int]base.BuildStats, ix.cfg.Fanout)
 	var mu sync.Mutex
-	staged, err := rmi.NewStagedParallelCtx(ctx, d.Keys, ix.cfg.Fanout, ix.cfg.RootTrainer, func(start int, part []float64) (*rmi.Bounded, error) {
+	staged, err := rmi.NewStaged(ctx, d.Keys, ix.cfg.Fanout, ix.cfg.RootTrainer, func(start int, part []float64) (*rmi.Bounded, error) {
 		sub := &base.SortedData{
 			Pts:   d.Pts[start : start+len(part)],
 			Keys:  part,
@@ -495,12 +495,4 @@ func NearestKAppend(cand []geo.Point, q geo.Point, k int, out []geo.Point) []geo
 	*buf = ps[:0]
 	pdPool.Put(buf)
 	return out
-}
-
-//elsi:noalloc
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
