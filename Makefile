@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet lint bench microbench serve serve-durable loadtest loadtest-shards loadtest-adaptive
+.PHONY: check build test race vet lint microbench serve serve-durable
 
 check: lint race
 
@@ -23,9 +23,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus cmd/elsivet, the eight-analyzer house-rule
-# suite (lockedcall, atomicfield, floateq, detrand, ctxprop, gorolife,
-# lockorder, noalloc — see DESIGN.md §7 and §12).
+# lint checks gofmt, then runs go vet plus cmd/elsivet, the
+# eight-analyzer house-rule suite (lockedcall, atomicfield, floateq,
+# detrand, ctxprop, gorolife, lockorder, noalloc — see DESIGN.md §7
+# and §12).
 #
 # There is no auto-fixer: a finding is resolved by fixing the code, by
 # marking the enforced surface with a directive (`//elsi:noalloc` on a
@@ -35,15 +36,9 @@ vet:
 # mandatory, and ignores that no longer suppress anything are
 # themselves reported.
 lint:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) run ./cmd/elsivet ./...
-
-# bench writes the machine-readable build/query medians (serial vs
-# parallel workers, plus window/kNN latency, allocations per point
-# query, and batched throughput) consumed by README's Performance and
-# Query performance sections.
-bench:
-	$(GO) run ./cmd/elsibench -json -n 50000 -queries 300 -epochs 40 > BENCH_pr5.json
 
 microbench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -60,24 +55,3 @@ serve:
 # second boot recovers from elsid-data/ without training a model.
 serve-durable:
 	$(GO) run ./cmd/elsid -http 127.0.0.1:8080 -tcp 127.0.0.1:9090 -n 100000 -data elsid-data -fsync always
-
-# loadtest stands up the full serving stack in-process and drives both
-# transports with seeded open-loop Poisson arrivals, writing the
-# p50/p99/p999 latency report consumed by README's Serving section.
-loadtest:
-	$(GO) run ./cmd/elsiload -inproc -n 50000 -rate 2000 -duration 3s -conns 64 -o BENCH_pr6.json
-
-# loadtest-shards sweeps the spatial shard count at the loadtest
-# workload — one in-proc TCP run per S, directly comparable rows —
-# writing the report consumed by README's Sharding section. Pin
-# GOMAXPROCS >= 4 so the per-shard parallelism is real.
-loadtest-shards:
-	GOMAXPROCS=4 $(GO) run ./cmd/elsiload -sweep-shards 1,4,16 -n 50000 -rate 2000 -duration 3s -conns 64 -o BENCH_pr8.json
-
-# loadtest-adaptive is the cache off/on comparison on the Zipf-skewed
-# read-heavy workload: identical stack and request stream in both
-# runs, the generation-stamped result cache the only variable. The
-# report (consumed by README's Adaptivity section) carries the cache
-# hit-rate and the per-shard workload monitor/profile breakdown.
-loadtest-adaptive:
-	GOMAXPROCS=4 $(GO) run ./cmd/elsiload -sweep-cache -adaptive -n 50000 -rate 2000 -duration 4s -warmup 1s -conns 64 -zipf 1.5 -hotspots 128 -mix 60:15:10:10:5 -o BENCH_pr10.json

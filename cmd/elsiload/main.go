@@ -14,13 +14,14 @@
 //
 //	elsiload -target tcp://127.0.0.1:9090 -rate 2000 -duration 10s
 //	elsiload -target http://127.0.0.1:8080 -rate 500 -duration 5s
-//	elsiload -inproc -rate 3000 -duration 3s -o BENCH_pr6.json
-//	elsiload -inproc -zipf 1.2 -mix 60:15:10:10:5 -sweep-cache -o BENCH_pr10.json
+//	elsiload -inproc -rate 3000 -duration 3s -o report.json
+//	elsiload -inproc -zipf 1.2 -mix 60:15:10:10:5 -sweep-cache -o report.json
 //
 // With -inproc, elsiload stands up the full elsid stack in-process on
 // ephemeral localhost ports and drives both transports back to back —
-// the one-command, no-daemon way to produce the serving benchmark
-// artifact.
+// the one-command, no-daemon way to load the serving stack. The
+// repository benchmark (benchmark/README.md) is where served
+// throughput and latency are measured.
 //
 // The workload shape is controlled by -mix (operation ratios) and
 // -zipf (query skew): with -zipf s > 1, query centers are drawn

@@ -20,12 +20,19 @@
 //     blessed Background() injection point and is exempt.
 //
 //  3. An exported function with no context parameter must not spawn
-//     goroutines: whoever starts concurrent work needs a way to stop
-//     it. The <Name>Ctx sibling convention exempts wrappers here too.
+//     goroutines that can outlive it: whoever starts concurrent work
+//     needs a way to stop it. A fork/join is not a leak: a go
+//     statement is exempt when a local sync.WaitGroup's Add runs
+//     before it (in a block enclosing it), that WaitGroup's Wait is a
+//     later top-level statement of the body, and no return lies
+//     between the two. The rule is body-local; goroutines started
+//     through helpers are left to gorolife and to Close. The
+//     <Name>Ctx sibling convention exempts wrappers here too.
 package ctxprop
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"elsi/internal/analysis"
@@ -75,9 +82,105 @@ func checkFunc(pass *analysis.Pass, fi *analysis.FuncInfo) {
 		}
 	}
 	for _, g := range fi.Gos {
+		if joined(pass.TypesInfo, fd.Body, g.Stmt) {
+			continue
+		}
 		pass.Reportf(g.Stmt.Pos(), "exported %s spawns a goroutine but accepts no context.Context to bound it (or provide a %sCtx variant)",
 			fd.Name.Name, fd.Name.Name)
 	}
+}
+
+// joined reports whether g is joined before the function returns: a
+// local WaitGroup's Add is a statement of a block enclosing g, before
+// g; that WaitGroup's Wait is a top-level statement of body after g;
+// and no return lies between them. Inside a loop the span starts at
+// the outermost loop, since a return in a later iteration follows an
+// earlier iteration's spawn.
+func joined(info *types.Info, body *ast.BlockStmt, g *ast.GoStmt) bool {
+	var path []ast.Node // ancestors of g, outermost first
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil || n.Pos() > g.Pos() || n.End() < g.End() {
+			return false
+		}
+		path = append(path, n)
+		return n != g
+	})
+	adds := make(map[types.Object]bool)
+	from := g.Pos()
+	for i, n := range path {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ForStmt, *ast.RangeStmt:
+			if from == g.Pos() {
+				from = n.Pos()
+			}
+		case *ast.BlockStmt:
+			for _, s := range n.List {
+				if s == path[i+1] {
+					break
+				}
+				if wg := waitGroupCall(info, s, "Add"); wg != nil {
+					adds[wg] = true
+				}
+			}
+		}
+	}
+	for _, s := range body.List {
+		if s.Pos() < g.End() {
+			continue
+		}
+		if wg := waitGroupCall(info, s, "Wait"); wg != nil && adds[wg] {
+			return !returnsIn(body, from, s.Pos())
+		}
+	}
+	return false
+}
+
+// waitGroupCall returns the local sync.WaitGroup variable wg when s is
+// the statement wg.<method>(...), else nil.
+func waitGroupCall(info *types.Info, s ast.Stmt, method string) types.Object {
+	es, _ := s.(*ast.ExprStmt)
+	if es == nil {
+		return nil
+	}
+	call, _ := es.X.(*ast.CallExpr)
+	if call == nil {
+		return nil
+	}
+	sel, _ := call.Fun.(*ast.SelectorExpr)
+	if sel == nil || sel.Sel.Name != method {
+		return nil
+	}
+	id, _ := sel.X.(*ast.Ident)
+	if id == nil {
+		return nil
+	}
+	v, _ := info.Uses[id].(*types.Var)
+	if v == nil {
+		return nil
+	}
+	named, _ := v.Type().(*types.Named)
+	if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" || named.Obj().Name() != "WaitGroup" {
+		return nil
+	}
+	return v
+}
+
+// returnsIn reports whether body has a return statement in [from, to)
+// outside nested func literals.
+func returnsIn(body *ast.BlockStmt, from, to token.Pos) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			found = found || (n.Pos() >= from && n.Pos() < to)
+		}
+		return !found
+	})
+	return found
 }
 
 // contextParam returns the first context.Context parameter, if any.

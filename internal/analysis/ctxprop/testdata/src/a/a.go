@@ -2,7 +2,10 @@
 // conventions, and the //lint:ignore escape hatch.
 package a
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // Rule 1: a named context parameter must be consulted.
 
@@ -75,6 +78,83 @@ func Fan(ch chan int) {
 func FanCtx(ctx context.Context, ch chan int) {
 	_ = ctx.Err()
 	go func() { ch <- 1 }()
+}
+
+// Rule 3 exempts a fork/join: every goroutine is joined before the
+// function returns.
+
+func ForkJoin(n int, fn func(i int)) { // clean: Add, spawn loop, Wait
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+func JoinEach(fns []func()) { // clean: Add per iteration, before the go
+	var wg sync.WaitGroup
+	for _, fn := range fns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn()
+		}()
+	}
+	wg.Wait()
+}
+
+func ReturnBeforeWait(fns []func(), stop bool) {
+	var wg sync.WaitGroup
+	wg.Add(len(fns))
+	for _, fn := range fns {
+		go func() { // want `exported ReturnBeforeWait spawns a goroutine`
+			defer wg.Done()
+			fn()
+		}()
+	}
+	if stop {
+		return
+	}
+	wg.Wait()
+}
+
+func ReturnInLoop(fns []func()) {
+	var wg sync.WaitGroup
+	for _, fn := range fns {
+		if fn == nil {
+			return // a later iteration returns past an earlier spawn
+		}
+		wg.Add(1)
+		go func() { // want `exported ReturnInLoop spawns a goroutine`
+			defer wg.Done()
+			fn()
+		}()
+	}
+	wg.Wait()
+}
+
+func WaitInIf(fn func(), wait bool) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // want `exported WaitInIf spawns a goroutine`
+		defer wg.Done()
+		fn()
+	}()
+	if wait {
+		wg.Wait()
+	}
+}
+
+func NoAdd(fn func()) {
+	var wg sync.WaitGroup
+	go func() { // want `exported NoAdd spawns a goroutine`
+		fn()
+	}()
+	wg.Wait()
 }
 
 // The escape hatch works.

@@ -61,12 +61,6 @@ type BuildStats struct {
 	Fallbacks int
 }
 
-// Total returns the summed model-build time (excluding the shared
-// map-and-sort data preparation, which is identical across methods).
-func (s BuildStats) Total() time.Duration {
-	return s.ReduceTime + s.TrainTime + s.BoundsTime
-}
-
 // ModelBuilder builds a bounded rank model for a prepared partition.
 type ModelBuilder interface {
 	// Name identifies the builder ("OG", "ELSI", or a method name).

@@ -357,9 +357,6 @@ func (s *System) ResetSelections() {
 	s.fallbacks = map[string]int{}
 }
 
-// Lambda returns the configured preference factor.
-func (s *System) Lambda() float64 { return s.cfg.Lambda }
-
 // PoolForIndex returns the applicable method pool for a base index by
 // name: LISA excludes the methods that synthesize points outside the
 // data set (Section VII-A).

@@ -85,7 +85,7 @@ func TestLambdaZeroHonored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Lambda(); got != 0 {
+	if got := s.cfg.Lambda; got != 0 {
 		t.Errorf("explicit Lambda 0 became %v", got)
 	}
 	for _, cfg := range []Config{
@@ -96,7 +96,7 @@ func TestLambdaZeroHonored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Lambda(); got != 0.8 {
+		if got := s.cfg.Lambda; got != 0.8 {
 			t.Errorf("unset Lambda default = %v for selector %v, want 0.8", got, cfg.Selector)
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"elsi/internal/geo"
 )
 
-// HRanges decomposes a query window into Hilbert-key ranges that
+// HRangesAppend decomposes a query window into Hilbert-key ranges that
 // together cover every grid cell intersecting the window, mirroring
 // ZRanges for the Hilbert curve. It subdivides the space quadrant by
 // quadrant; a quadrant fully inside the window is emitted as one range,
@@ -14,14 +14,11 @@ import (
 // The sharded router uses the decomposition to prune window scatter:
 // a shard whose key range intersects none of the window's ranges
 // cannot hold a point inside the window.
-func HRanges(window geo.Rect, space geo.Rect, maxDepth int) []KeyRange {
-	return HRangesAppend(window, space, maxDepth, nil)
-}
-
-// HRangesAppend is HRanges writing into out (which may hold unrelated
-// leading entries) and returning the extended slice. Query hot paths
-// pass a reused buffer so the decomposition allocates nothing once the
-// buffer has warmed up.
+//
+// The ranges are appended to out (which may hold unrelated leading
+// entries) and the extended slice is returned. Query hot paths pass a
+// reused buffer so the decomposition allocates nothing once the buffer
+// has warmed up.
 //
 //elsi:noalloc
 func HRangesAppend(window geo.Rect, space geo.Rect, maxDepth int, out []KeyRange) []KeyRange {

@@ -31,7 +31,7 @@ func TestHRangesExactCoverFullDepth(t *testing.T) {
 		w := uint32(rng.Intn(24))
 		h := uint32(rng.Intn(24))
 		win := cellWindow(cx, cy, cx+w, cy+h)
-		ranges := HRanges(win, geo.UnitRect, Order)
+		ranges := HRangesAppend(win, geo.UnitRect, Order, nil)
 
 		var total uint64
 		for _, r := range ranges {
@@ -59,7 +59,7 @@ func TestHRangesDepthCappedCoverage(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		x, y := rng.Float64(), rng.Float64()
 		win := geo.Rect{MinX: x, MinY: y, MaxX: x + rng.Float64()*0.3, MaxY: y + rng.Float64()*0.3}
-		ranges := HRanges(win, geo.UnitRect, 8)
+		ranges := HRangesAppend(win, geo.UnitRect, 8, nil)
 		for i := 1; i < len(ranges); i++ {
 			if ranges[i].Lo <= ranges[i-1].Hi {
 				t.Fatalf("trial %d: overlapping/unsorted ranges %v", trial, ranges)
@@ -89,7 +89,7 @@ func TestHRangesAppendPreservesPrefix(t *testing.T) {
 	if len(out) < 2 || out[0] != prefix {
 		t.Fatalf("prefix clobbered: %v", out)
 	}
-	want := HRanges(win, geo.UnitRect, 6)
+	want := HRangesAppend(win, geo.UnitRect, 6, nil)
 	got := out[1:]
 	if len(got) != len(want) {
 		t.Fatalf("append form diverged: %d ranges vs %d", len(got), len(want))
@@ -157,7 +157,7 @@ func FuzzHRangesCoverage(f *testing.F) {
 		cx %= cells - w - 1
 		cy %= cells - h - 1
 		win := cellWindow(cx, cy, cx+w, cy+h)
-		ranges := HRanges(win, geo.UnitRect, Order)
+		ranges := HRangesAppend(win, geo.UnitRect, Order, nil)
 
 		for i := 1; i < len(ranges); i++ {
 			if ranges[i].Lo <= ranges[i-1].Hi {

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"elsi/internal/geo"
 )
@@ -187,32 +186,6 @@ func TPCHPoints(rng *rand.Rand, n int) []geo.Point {
 		}
 	}
 	return pts
-}
-
-// KeysWithUniformDistance returns n sorted 1-D keys in [0,1] whose KS
-// distance to the uniform distribution is approximately d in [0, 0.95].
-// The method scorer is trained over a grid of such controlled
-// distributions (Section VII-B2). The construction mixes a point mass
-// of weight d near zero with a uniform remainder, which yields a KS
-// distance of d up to O(1/n).
-func KeysWithUniformDistance(rng *rand.Rand, n int, d float64) []float64 {
-	if d < 0 {
-		d = 0
-	}
-	if d > 0.95 {
-		d = 0.95
-	}
-	keys := make([]float64, n)
-	mass := int(d * float64(n))
-	const delta = 1e-6
-	for i := 0; i < mass; i++ {
-		keys[i] = rng.Float64() * delta
-	}
-	for i := mass; i < n; i++ {
-		keys[i] = delta + rng.Float64()*(1-delta)
-	}
-	sort.Float64s(keys)
-	return keys
 }
 
 // PointsWithUniformDistance returns n 2-D points whose Z-key

@@ -132,34 +132,6 @@ func TestClusterMixFraction(t *testing.T) {
 	}
 }
 
-func TestKeysWithUniformDistance(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, d := range []float64{0, 0.1, 0.3, 0.5, 0.7, 0.9} {
-		keys := KeysWithUniformDistance(rng, 20000, d)
-		if !sort.Float64sAreSorted(keys) {
-			t.Fatalf("keys not sorted for d=%v", d)
-		}
-		got := kstest.DistanceToUniform(keys, 0, 1)
-		if math.Abs(got-d) > 0.03 {
-			t.Errorf("d=%v: measured distance %v", d, got)
-		}
-	}
-}
-
-func TestKeysWithUniformDistanceClamps(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	keys := KeysWithUniformDistance(rng, 1000, 2.0) // clamped to 0.95
-	got := kstest.DistanceToUniform(keys, 0, 1)
-	if got > 0.97 {
-		t.Errorf("clamped distance = %v", got)
-	}
-	keys = KeysWithUniformDistance(rng, 1000, -1) // clamped to 0
-	got = kstest.DistanceToUniform(keys, 0, 1)
-	if got > 0.1 {
-		t.Errorf("negative-d distance = %v, want ~0", got)
-	}
-}
-
 func TestPointsWithUniformDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lo := zKeyDistToUniform(PointsWithUniformDistance(rng, 20000, 0.1))

@@ -157,9 +157,9 @@ func AggregateShards(shards []ShardStats) BackendStats {
 
 // opCounters tracks the per-shard traffic a backend routed somewhere.
 type opCounters struct {
-	points, windows, knns   atomic.Int64
-	inserts, deletes        atomic.Int64
-	windowSkips, knnsSkips  atomic.Int64
+	points, windows, knns  atomic.Int64
+	inserts, deletes       atomic.Int64
+	windowSkips, knnsSkips atomic.Int64
 }
 
 //elsi:noalloc

@@ -28,7 +28,7 @@ func cachedEngine(t *testing.T, n int, seed int64, cfg Config) (*Engine, *rebuil
 	if cfg.Cache == nil {
 		cfg.Cache = &qcache.Config{}
 	}
-	return New(proc, nil, cfg), proc
+	return NewWithBackend(NewSingle(proc, cfg.Workers), nil, cfg), proc
 }
 
 // TestCachedEquivalenceRaced checks the acceptance bar for the result
@@ -43,7 +43,7 @@ func cachedEngine(t *testing.T, n int, seed int64, cfg Config) (*Engine, *rebuil
 func TestCachedEquivalenceRaced(t *testing.T) {
 	e, proc := cachedEngine(t, 3000, 21, Config{MaxBatch: 8, FlushInterval: 200 * time.Microsecond})
 	defer e.Close()
-	be := e.Backend()
+	be := e.be
 
 	// Park a background rebuild mid-build: the workload below runs
 	// against the frozen view + delta overlay until hold is released.
@@ -276,7 +276,7 @@ func TestCachedPointQueryZeroAllocs(t *testing.T) {
 // caching is off, so /stats keeps its old shape for existing scrapers.
 func TestCacheOffStatsOmitted(t *testing.T) {
 	proc := newTestProcessor(t, 100, 3)
-	e := New(proc, nil, Config{})
+	e := NewWithBackend(NewSingle(proc, 0), nil, Config{})
 	defer e.Close()
 	if _, err := e.PointQuery(geo.Point{X: 0.5, Y: 0.5}); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,6 @@ import (
 	"elsi/internal/faults"
 	"elsi/internal/geo"
 	"elsi/internal/qcache"
-	"elsi/internal/rebuild"
 )
 
 func init() {
@@ -128,13 +127,6 @@ type Engine struct {
 	cOverloads                atomic.Int64
 }
 
-// New wraps proc in a Single backend. sys, when non-nil, is the
-// builder behind the processor's index family; its selection and
-// fallback counters are surfaced through Stats.
-func New(proc *rebuild.Processor, sys *core.System, cfg Config) *Engine {
-	return NewWithBackend(NewSingle(proc, cfg.Workers), sys, cfg)
-}
-
 // NewWithBackend serves an arbitrary backend — a Single processor or
 // the sharded router — behind the same accumulator and admission
 // machinery.
@@ -154,19 +146,6 @@ func NewWithBackend(be Backend, sys *core.System, cfg Config) *Engine {
 		return e.be.KNNVarBatch(qs, ks, nil)
 	})
 	return e
-}
-
-// Backend exposes the storage side the engine serves.
-func (e *Engine) Backend() Backend { return e.be }
-
-// Processor exposes the update processor behind a Single backend (for
-// transports that need to reach past the facade, e.g. a warmup path).
-// It returns nil when the engine serves a sharded backend.
-func (e *Engine) Processor() *rebuild.Processor {
-	if s, ok := e.be.(*Single); ok {
-		return s.Processor()
-	}
-	return nil
 }
 
 // --- admission ----------------------------------------------------------
@@ -538,4 +517,3 @@ func (a *acc[Q, R]) runBatch(b *batch[Q, R]) {
 	a.e.cBatchedQueries.Add(int64(len(b.qs)))
 	close(b.done)
 }
-

@@ -48,7 +48,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 // both flush paths fire.
 func TestEngineMatchesSerial(t *testing.T) {
 	proc := newTestProcessor(t, 1500, 7)
-	e := New(proc, nil, Config{MaxBatch: 4, FlushInterval: time.Millisecond})
+	e := NewWithBackend(NewSingle(proc, 0), nil, Config{MaxBatch: 4, FlushInterval: time.Millisecond})
 
 	const goroutines = 8
 	const perG = 60
@@ -160,7 +160,7 @@ func samePoints(a, b []geo.Point) bool {
 // batch must still be answered by the deadline flush.
 func TestDeadlineFlush(t *testing.T) {
 	proc := newTestProcessor(t, 200, 9)
-	e := New(proc, nil, Config{MaxBatch: 1 << 20, FlushInterval: 2 * time.Millisecond})
+	e := NewWithBackend(NewSingle(proc, 0), nil, Config{MaxBatch: 1 << 20, FlushInterval: 2 * time.Millisecond})
 	defer e.Close()
 
 	got, err := e.PointQuery(geo.Point{X: 0.5, Y: 0.5})
@@ -198,7 +198,7 @@ func TestOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(proc, nil, Config{MaxBatch: 1, MaxInFlight: 2})
+	e := NewWithBackend(NewSingle(proc, 0), nil, Config{MaxBatch: 1, MaxInFlight: 2})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -232,7 +232,7 @@ func TestOverload(t *testing.T) {
 // (FlushByClose, not FlushByTimer), then rejects new requests.
 func TestCloseDrainsQueued(t *testing.T) {
 	proc := newTestProcessor(t, 300, 13)
-	e := New(proc, nil, Config{MaxBatch: 100, FlushInterval: time.Minute})
+	e := NewWithBackend(NewSingle(proc, 0), nil, Config{MaxBatch: 100, FlushInterval: time.Minute})
 
 	win := geo.Rect{MinX: 0.2, MinY: 0.2, MaxX: 0.7, MaxY: 0.7}
 	want := append([]geo.Point(nil), proc.WindowQuery(win)...)
@@ -278,7 +278,7 @@ func TestConcurrentUpdatesAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	proc.Factory = func() rebuild.Rebuildable { return index.NewBruteForce() }
-	e := New(proc, nil, Config{MaxBatch: 8, FlushInterval: 500 * time.Microsecond})
+	e := NewWithBackend(NewSingle(proc, 0), nil, Config{MaxBatch: 8, FlushInterval: 500 * time.Microsecond})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -356,7 +356,7 @@ func TestCloseRacesStatsAndFlushes(t *testing.T) {
 	proc := newTestProcessor(t, 800, 19)
 	// A small batch and a long deadline force Close itself to flush
 	// whatever was accumulating when it hit.
-	e := New(proc, nil, Config{MaxBatch: 4, FlushInterval: 50 * time.Millisecond})
+	e := NewWithBackend(NewSingle(proc, 0), nil, Config{MaxBatch: 4, FlushInterval: 50 * time.Millisecond})
 
 	var (
 		wg       sync.WaitGroup

@@ -297,12 +297,3 @@ func (g *Grid) appendCell(cx, cy int, cand []geo.Point) []geo.Point {
 	}
 	return cand
 }
-
-// Blocks returns the total number of data blocks (for size accounting).
-func (g *Grid) Blocks() int {
-	total := 0
-	for _, cell := range g.cells {
-		total += len(cell)
-	}
-	return total
-}

@@ -48,7 +48,14 @@ func TestBlockSplitsOnSkew(t *testing.T) {
 	uni.Build(dataset.MustGenerate(dataset.Uniform, 20000, 3))
 	nyc := New(geo.UnitRect)
 	nyc.Build(dataset.MustGenerate(dataset.NYC, 20000, 3))
-	if nyc.Blocks() <= 0 || uni.Blocks() <= 0 {
+	blocks := func(g *Grid) int {
+		total := 0
+		for _, cell := range g.cells {
+			total += len(cell)
+		}
+		return total
+	}
+	if blocks(nyc) <= 0 || blocks(uni) <= 0 {
 		t.Fatal("no blocks")
 	}
 	// NYC data concentrates in few cells, so blocks-per-used-cell is

@@ -105,11 +105,6 @@ func DistanceMerge(ds, d []float64) float64 {
 	return clamp01(maxGap)
 }
 
-// Sim returns the similarity of Definition 2: 1 - Distance(ds, d).
-func Sim(ds, d []float64) float64 {
-	return 1 - Distance(ds, d)
-}
-
 // DistanceToUniform returns the KS distance between the empirical CDF
 // of the sorted keys and the CDF of the uniform distribution over
 // [lo, hi]. The paper uses dist(D_U, D) — the distance between a data
@@ -141,52 +136,6 @@ func DistanceToUniform(keys []float64, lo, hi float64) float64 {
 		}
 	}
 	return clamp01(maxGap)
-}
-
-// CDF is an empirical cumulative distribution function stored as a
-// sorted sample of key values. The update processor keeps one CDF per
-// built index and compares it with the CDF of the updated data set to
-// quantify drift (Section IV-B2).
-type CDF struct {
-	keys []float64 // sorted ascending
-}
-
-// NewCDF builds a CDF from keys. The slice is copied and sorted.
-func NewCDF(keys []float64) *CDF {
-	cp := make([]float64, len(keys))
-	copy(cp, keys)
-	sort.Float64s(cp)
-	return &CDF{keys: cp}
-}
-
-// NewCDFSorted builds a CDF that takes ownership of an already-sorted
-// slice without copying.
-func NewCDFSorted(sorted []float64) *CDF {
-	return &CDF{keys: sorted}
-}
-
-// At evaluates the empirical CDF at x: the fraction of keys <= x.
-func (c *CDF) At(x float64) float64 {
-	if len(c.keys) == 0 {
-		return 0
-	}
-	i := sort.Search(len(c.keys), func(i int) bool { return c.keys[i] > x })
-	return float64(i) / float64(len(c.keys))
-}
-
-// Len returns the sample size backing the CDF.
-func (c *CDF) Len() int { return len(c.keys) }
-
-// Keys exposes the sorted backing sample (read-only by convention).
-func (c *CDF) Keys() []float64 { return c.keys }
-
-// DistanceTo returns the KS distance between c and other, scanning the
-// smaller of the two samples.
-func (c *CDF) DistanceTo(other *CDF) float64 {
-	if c.Len() <= other.Len() {
-		return Distance(c.keys, other.keys)
-	}
-	return Distance(other.keys, c.keys)
 }
 
 func clamp01(v float64) float64 {

@@ -23,9 +23,6 @@ func TestDistanceIdentical(t *testing.T) {
 	if got := Distance(d, d); got != 0 {
 		t.Errorf("Distance(d,d) = %v, want 0", got)
 	}
-	if got := Sim(d, d); got != 1 {
-		t.Errorf("Sim(d,d) = %v, want 1", got)
-	}
 }
 
 func TestDistanceDisjoint(t *testing.T) {
@@ -134,46 +131,6 @@ func TestDistanceToUniformSkew(t *testing.T) {
 	got := DistanceToUniform(keys, 0, 1)
 	if math.Abs(got-0.4724) > 0.01 {
 		t.Errorf("skewed DistanceToUniform = %v, want ~0.472", got)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	c := NewCDF([]float64{3, 1, 2, 2})
-	if c.Len() != 4 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	cases := []struct {
-		x    float64
-		want float64
-	}{
-		{0, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, tc := range cases {
-		if got := c.At(tc.x); got != tc.want {
-			t.Errorf("At(%v) = %v, want %v", tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestCDFDistanceTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := NewCDF(sortedUniform(rng, 100))
-	b := NewCDF(sortedUniform(rng, 1000))
-	d1 := a.DistanceTo(b)
-	d2 := b.DistanceTo(a)
-	if math.Abs(d1-d2) > 1e-12 {
-		t.Errorf("DistanceTo not symmetric: %v vs %v", d1, d2)
-	}
-	if got := a.DistanceTo(a); got != 0 {
-		t.Errorf("self distance = %v", got)
-	}
-}
-
-func TestNewCDFSortedNoCopy(t *testing.T) {
-	keys := []float64{1, 2, 3}
-	c := NewCDFSorted(keys)
-	if &c.Keys()[0] != &keys[0] {
-		t.Error("NewCDFSorted copied the slice")
 	}
 }
 

@@ -83,15 +83,10 @@ func (m *SP) BuildModel(ctx context.Context, d *base.SortedData) (*rmi.Bounded, 
 	return base.FromKeysCtx(ctx, NameSP, m.Trainer, keys, d, time.Since(t0), m.Workers)
 }
 
-// SystematicSample returns every stride-th key of sorted keys for a
-// sampling rate rho, always keeping at least minTrainSet keys (and the
-// last key, so the sampled CDF spans the full key range).
-func SystematicSample(keys []float64, rho float64) []float64 {
-	return SystematicSampleMin(keys, rho, 0)
-}
-
-// SystematicSampleMin is SystematicSample with a floor on the sample
-// size.
+// SystematicSampleMin returns every stride-th key of sorted keys for
+// a sampling rate rho, always keeping at least max(minKeys,
+// minTrainSet) keys (and the last key, so the sampled CDF spans the
+// full key range).
 func SystematicSampleMin(keys []float64, rho float64, minKeys int) []float64 {
 	n := len(keys)
 	if minKeys < minTrainSet {

@@ -80,18 +80,6 @@ func (m *MR) Prepare() {
 	})
 }
 
-// PrepareTime returns the offline pool preparation cost (zero before
-// the first Prepare).
-func (m *MR) PrepareTime() time.Duration {
-	return m.prepTime
-}
-
-// PoolSize returns the number of pre-trained models.
-func (m *MR) PoolSize() int {
-	m.Prepare()
-	return len(m.pool)
-}
-
 // BuildModel implements base.ModelBuilder: find the synthetic set most
 // similar to d's (normalized) key CDF and reuse its model. Injection
 // point: "build/MR". The pool similarity scan observes ctx between

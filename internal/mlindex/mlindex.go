@@ -365,6 +365,3 @@ func (ix *Index) ResetCounters() {
 		ix.st.ResetScanned()
 	}
 }
-
-// Refs exposes the reference points (read-only; used by tests).
-func (ix *Index) Refs() []geo.Point { return ix.refs }

@@ -43,8 +43,8 @@ func TestMapKeyStructure(t *testing.T) {
 	pts := dataset.MustGenerate(dataset.Uniform, 1000, 4)
 	ix := New(Config{Space: geo.UnitRect, Builder: ogBuilder(), Refs: 4, Seed: 1})
 	ix.Build(pts)
-	if len(ix.Refs()) != 4 {
-		t.Fatalf("got %d refs", len(ix.Refs()))
+	if len(ix.refs) != 4 {
+		t.Fatalf("got %d refs", len(ix.refs))
 	}
 	for _, p := range pts[:100] {
 		k := ix.MapKey(p)
@@ -57,7 +57,7 @@ func TestMapKeyStructure(t *testing.T) {
 			t.Fatalf("distance component %v out of range", d)
 		}
 		// the distance component equals the distance to the claimed ref
-		if got := p.Dist(ix.Refs()[id]); math.Abs(got-d) > 1e-9 {
+		if got := p.Dist(ix.refs[id]); math.Abs(got-d) > 1e-9 {
 			t.Fatalf("distance %v != %v", got, d)
 		}
 	}

@@ -308,6 +308,3 @@ func (f *Forest) Predict(x []float64) float64 {
 	}
 	return sum / float64(len(f.trees))
 }
-
-// Size returns the number of trees in the forest.
-func (f *Forest) Size() int { return len(f.trees) }

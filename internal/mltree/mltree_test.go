@@ -89,8 +89,8 @@ func TestForestRegressorBeatsNoise(t *testing.T) {
 		y = append(y, 2*a+b)
 	}
 	f := TrainForestRegressor(X, y, ForestConfig{Trees: 15, Tree: Config{MaxDepth: 8}, Seed: 1})
-	if f.Size() != 15 {
-		t.Fatalf("Size = %d", f.Size())
+	if len(f.trees) != 15 {
+		t.Fatalf("forest has %d trees, want 15", len(f.trees))
 	}
 	mse := 0.0
 	for i := 0; i < 100; i++ {

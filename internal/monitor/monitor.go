@@ -289,15 +289,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	return d
 }
 
-// Reads is the number of read operations in the snapshot.
-func (s Snapshot) Reads() int64 { return s.Points + s.Windows + s.KNNs }
-
-// Writes is the number of mutating operations in the snapshot.
-func (s Snapshot) Writes() int64 { return s.Inserts + s.Deletes }
-
-// Total is the number of operations in the snapshot.
-func (s Snapshot) Total() int64 { return s.Reads() + s.Writes() }
-
 // fillHot derives Hot and HotShare from Grid.
 func (s *Snapshot) fillHot() {
 	if len(s.Grid) != GridCells {
@@ -336,17 +327,4 @@ func (s *Snapshot) fillHot() {
 		inTop += t.n
 	}
 	s.HotShare = float64(inTop) / float64(total)
-}
-
-// CellRect returns the geometry of a grid cell within space, for
-// mapping a HotCell back to coordinates.
-func CellRect(space geo.Rect, cx, cy int) geo.Rect {
-	w := space.Width() / float64(int(1)<<GridOrder)
-	h := space.Height() / float64(int(1)<<GridOrder)
-	return geo.Rect{
-		MinX: space.MinX + float64(cx)*w,
-		MinY: space.MinY + float64(cy)*h,
-		MaxX: space.MinX + float64(cx+1)*w,
-		MaxY: space.MinY + float64(cy+1)*h,
-	}
 }

@@ -27,15 +27,6 @@ func TestCounters(t *testing.T) {
 	if snap.Points != 5 || snap.Windows != 1 || snap.KNNs != 1 || snap.Inserts != 2 || snap.Deletes != 1 {
 		t.Fatalf("counters = %+v", snap)
 	}
-	if got := snap.Reads(); got != 7 {
-		t.Errorf("Reads = %d, want 7", got)
-	}
-	if got := snap.Writes(); got != 3 {
-		t.Errorf("Writes = %d, want 3", got)
-	}
-	if got := snap.Total(); got != 10 {
-		t.Errorf("Total = %d, want 10", got)
-	}
 }
 
 func TestAreaHistogram(t *testing.T) {
@@ -97,11 +88,6 @@ func TestHotCells(t *testing.T) {
 	if snap.HotShare != 1 {
 		t.Errorf("HotShare = %v, want 1 (all traffic in top cells)", snap.HotShare)
 	}
-
-	r := CellRect(unitSpace(), snap.Hot[0].CellX, snap.Hot[0].CellY)
-	if !r.Contains(geo.Point{X: 0.01, Y: 0.01}) {
-		t.Errorf("CellRect %v does not contain the hammered point", r)
-	}
 }
 
 // TestOutOfSpaceClamped checks that coordinates outside the monitored
@@ -145,7 +131,7 @@ func TestNilSafe(t *testing.T) {
 	s.RecordKNN(geo.Point{}, 3)
 	s.RecordInsert(geo.Point{})
 	s.RecordDelete(geo.Point{})
-	if snap := s.Snapshot(); snap.Total() != 0 {
+	if snap := s.Snapshot(); snap.Points+snap.Windows+snap.KNNs+snap.Inserts+snap.Deletes != 0 {
 		t.Fatalf("nil snapshot = %+v", snap)
 	}
 }

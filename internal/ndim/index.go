@@ -89,9 +89,6 @@ func NewIndexWorkers(space Rect, trainer rmi.Trainer, rsBeta, workers int) *Inde
 	return &Index{space: space, trainer: trainer, rsBeta: rsBeta, workers: workers}
 }
 
-// Len returns the number of indexed points.
-func (ix *Index) Len() int { return len(ix.pts) }
-
 // TrainSetSize returns the size of the model's training set (|Ds|
 // when RS reduction is enabled, n otherwise).
 func (ix *Index) TrainSetSize() int { return ix.trainSize }

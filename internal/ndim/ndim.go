@@ -9,7 +9,6 @@
 package ndim
 
 import (
-	"fmt"
 	"math"
 
 	"elsi/internal/floats"
@@ -76,25 +75,6 @@ func (r Rect) Contains(p Point) bool {
 	return true
 }
 
-// Intersects reports whether r and s overlap.
-func (r Rect) Intersects(s Rect) bool {
-	for i := range r.Min {
-		if r.Min[i] > s.Max[i] || s.Min[i] > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Center returns the center point of r.
-func (r Rect) Center() Point {
-	c := make(Point, len(r.Min))
-	for i := range c {
-		c[i] = (r.Min[i] + r.Max[i]) / 2
-	}
-	return c
-}
-
 // Volume returns the d-dimensional volume of r.
 func (r Rect) Volume() float64 {
 	v := 1.0
@@ -133,29 +113,6 @@ func (r Rect) ChildOf(p Point) int {
 		}
 	}
 	return mask
-}
-
-// BoundingRect returns the minimal box covering pts.
-func BoundingRect(pts []Point) (Rect, error) {
-	if len(pts) == 0 {
-		return Rect{}, fmt.Errorf("ndim: empty point set")
-	}
-	d := pts[0].Dim()
-	r := Rect{Min: pts[0].Clone(), Max: pts[0].Clone()}
-	for _, p := range pts[1:] {
-		if p.Dim() != d {
-			return Rect{}, fmt.Errorf("ndim: mixed dimensionalities %d and %d", d, p.Dim())
-		}
-		for i := range p {
-			if p[i] < r.Min[i] {
-				r.Min[i] = p[i]
-			}
-			if p[i] > r.Max[i] {
-				r.Max[i] = p[i]
-			}
-		}
-	}
-	return r, nil
 }
 
 // --- d-dimensional Morton mapping --------------------------------------

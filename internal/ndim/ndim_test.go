@@ -48,12 +48,6 @@ func TestPointRectBasics(t *testing.T) {
 	if got := r.Volume(); got != 1 {
 		t.Errorf("Volume = %v", got)
 	}
-	c := r.Center()
-	for i := 0; i < 3; i++ {
-		if c[i] != 0.5 {
-			t.Errorf("Center[%d] = %v", i, c[i])
-		}
-	}
 	p, q := Point{0, 0, 0}, Point{1, 2, 2}
 	if p.Dist2(q) != 9 {
 		t.Errorf("Dist2 = %v", p.Dist2(q))
@@ -81,25 +75,6 @@ func TestChildPartitioning(t *testing.T) {
 		if !r.Child(m).Contains(p) {
 			t.Fatalf("point %v routed to child %d not containing it", p, m)
 		}
-	}
-}
-
-func TestBoundingRect(t *testing.T) {
-	pts := []Point{{1, 5, 0}, {-1, 2, 3}, {0, 0, 1}}
-	r, err := BoundingRect(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range pts {
-		if !r.Contains(p) {
-			t.Fatalf("%v outside bounding box", p)
-		}
-	}
-	if _, err := BoundingRect(nil); err == nil {
-		t.Error("empty set accepted")
-	}
-	if _, err := BoundingRect([]Point{{1, 2}, {1, 2, 3}}); err == nil {
-		t.Error("mixed dimensionality accepted")
 	}
 }
 
@@ -181,8 +156,8 @@ func testIndexQueries(t *testing.T, d int, rsBeta int) {
 	if err := ix.Build(pts); err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 3000 {
-		t.Fatalf("Len = %d", ix.Len())
+	if len(ix.pts) != 3000 {
+		t.Fatalf("Len = %d", len(ix.pts))
 	}
 	// exact point queries
 	for _, p := range pts[:300] {
@@ -311,8 +286,8 @@ func TestIndexDegenerateData(t *testing.T) {
 				if err := ix.Build(pts); err != nil {
 					t.Fatalf("Build(%s): %v", name, err)
 				}
-				if ix.Len() != len(pts) {
-					t.Fatalf("Len = %d, want %d", ix.Len(), len(pts))
+				if len(ix.pts) != len(pts) {
+					t.Fatalf("Len = %d, want %d", len(ix.pts), len(pts))
 				}
 				if ix.PointQuery(Point{0.987, 0.123, 0.555}) {
 					t.Error("phantom point found")

@@ -30,12 +30,6 @@ type Config struct {
 	Cancel func() bool
 }
 
-// DefaultConfig mirrors the paper's hyper-parameters with an epoch
-// count sized for CPU training.
-func DefaultConfig() Config {
-	return Config{LearningRate: 0.01, Epochs: 150, BatchSize: 256, Seed: 1}
-}
-
 // Network is a fully-connected feed-forward network. Hidden layers use
 // ReLU; the output layer is linear so the same network serves both the
 // regression heads (rank prediction, cost prediction) and, with a
@@ -69,18 +63,6 @@ func New(rng *rand.Rand, sizes ...int) *Network {
 		n.b = append(n.b, make([]float64, out))
 	}
 	return n
-}
-
-// Sizes returns the layer widths.
-func (n *Network) Sizes() []int { return append([]int(nil), n.sizes...) }
-
-// NumParams returns the total number of trainable parameters.
-func (n *Network) NumParams() int {
-	total := 0
-	for l := range n.w {
-		total += len(n.w[l]) + len(n.b[l])
-	}
-	return total
 }
 
 // Forward computes the network output for a single input vector.
@@ -255,35 +237,9 @@ func (n *Network) Train(xs, ys [][]float64, cfg Config) (float64, error) {
 	return lastLoss, nil
 }
 
-// TrainStep performs a single Adam update on the given minibatch and
-// returns its mean loss. The DQN uses this to learn online from replay
-// samples.
-func (n *Network) TrainStep(xs, ys [][]float64, lr float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n.ensureAdam()
-	gw := zerosLike(n.w)
-	gb := zerosLike(n.b)
-	scratch := n.NewScratch()
-	loss := 0.0
-	for k := range xs {
-		n.forwardScratch(scratch, xs[k])
-		yhat := scratch.acts[len(scratch.acts)-1]
-		dOut := scratch.dOut
-		for o := range yhat {
-			diff := yhat[o] - ys[k][o]
-			loss += diff * diff
-			dOut[o] = 2 * diff
-		}
-		n.backpropScratch(scratch, dOut, gw, gb)
-	}
-	n.adamStep(gw, gb, len(xs), lr)
-	return loss / float64(len(xs))
-}
-
-// TrainStepMasked is TrainStep with a per-output mask: only outputs
-// with mask true contribute loss and gradient. The DQN uses it to
+// TrainStepMasked performs a single Adam update on the given minibatch
+// with a per-output mask and returns its mean loss: only outputs with
+// mask true contribute loss and gradient. The DQN uses it to
 // update only the Q-value of the action actually taken.
 func (n *Network) TrainStepMasked(xs, ys [][]float64, masks [][]bool, lr float64) float64 {
 	if len(xs) == 0 {

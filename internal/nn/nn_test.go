@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// trainStep is one unmasked Adam update: TrainStepMasked with every
+// output contributing.
+func trainStep(n *Network, xs, ys [][]float64, lr float64) float64 {
+	masks := make([][]bool, len(ys))
+	for k := range ys {
+		masks[k] = make([]bool, len(ys[k]))
+		for o := range masks[k] {
+			masks[k][o] = true
+		}
+	}
+	return n.TrainStepMasked(xs, ys, masks, lr)
+}
+
 func TestForwardShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := New(rng, 3, 8, 2)
@@ -13,12 +26,16 @@ func TestForwardShapes(t *testing.T) {
 	if len(out) != 2 {
 		t.Fatalf("output size = %d, want 2", len(out))
 	}
-	sizes := n.Sizes()
+	sizes := n.sizes
 	if len(sizes) != 3 || sizes[0] != 3 || sizes[1] != 8 || sizes[2] != 2 {
-		t.Errorf("Sizes = %v", sizes)
+		t.Errorf("sizes = %v", sizes)
 	}
-	if got, want := n.NumParams(), 3*8+8+8*2+2; got != want {
-		t.Errorf("NumParams = %d, want %d", got, want)
+	params := 0
+	for l := range n.w {
+		params += len(n.w[l]) + len(n.b[l])
+	}
+	if want := 3*8 + 8 + 8*2 + 2; params != want {
+		t.Errorf("%d parameters, want %d", params, want)
 	}
 }
 
@@ -78,10 +95,10 @@ func TestTrainNonlinearFunction(t *testing.T) {
 
 func TestTrainErrors(t *testing.T) {
 	n := New(rand.New(rand.NewSource(1)), 1, 1)
-	if _, err := n.Train(nil, nil, DefaultConfig()); err == nil {
+	if _, err := n.Train(nil, nil, Config{}); err == nil {
 		t.Error("expected error on empty training set")
 	}
-	if _, err := n.Train([][]float64{{1}}, nil, DefaultConfig()); err == nil {
+	if _, err := n.Train([][]float64{{1}}, nil, Config{}); err == nil {
 		t.Error("expected error on length mismatch")
 	}
 }
@@ -91,10 +108,10 @@ func TestTrainStepReducesLoss(t *testing.T) {
 	n := New(rng, 2, 8, 1)
 	xs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	ys := [][]float64{{0}, {1}, {1}, {0}} // XOR
-	first := n.TrainStep(xs, ys, 0.01)
+	first := trainStep(n, xs, ys, 0.01)
 	var last float64
 	for i := 0; i < 3000; i++ {
-		last = n.TrainStep(xs, ys, 0.01)
+		last = trainStep(n, xs, ys, 0.01)
 	}
 	if last >= first {
 		t.Errorf("loss did not decrease: first=%v last=%v", first, last)
@@ -134,7 +151,7 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("clone differs immediately")
 	}
 	// training the original must not affect the clone
-	n.TrainStep([][]float64{{0.3}}, [][]float64{{100}}, 0.1)
+	trainStep(n, [][]float64{{0.3}}, [][]float64{{100}}, 0.1)
 	if n.Forward1(x) == c.Forward1(x) {
 		t.Error("clone tracks original after training")
 	}

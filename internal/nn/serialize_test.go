@@ -10,7 +10,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := New(rng, 2, 8, 3)
 	// train a little so weights are non-trivial
-	n.TrainStep([][]float64{{0.1, 0.2}}, [][]float64{{1, 2, 3}}, 0.01)
+	trainStep(n, [][]float64{{0.1, 0.2}}, [][]float64{{1, 2, 3}}, 0.01)
 	data, err := n.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 		}
 	}
 	// the loaded network must be trainable (fresh Adam state)
-	if loss := m.TrainStep([][]float64{{0, 0}}, [][]float64{{0, 0, 0}}, 0.01); math.IsNaN(loss) {
+	if loss := trainStep(&m, [][]float64{{0, 0}}, [][]float64{{0, 0, 0}}, 0.01); math.IsNaN(loss) {
 		t.Error("loaded network cannot train")
 	}
 }

@@ -116,72 +116,6 @@ func forBlocks(ctx context.Context, lo, hi int, fn func(lo, hi int)) (err error)
 	return nil
 }
 
-// ForCtx is For with cooperative cancellation and panic isolation:
-// workers check ctx at block boundaries (every ctxBlock indices) and
-// stop early when it is done, and a panicking worker is recovered into
-// a *PanicError instead of crashing the process. It returns the first
-// worker panic, else ctx's error if the run was cut short, else nil.
-// fn must tolerate being called on sub-ranges of a chunk (every
-// element-wise loop does).
-func ForCtx(ctx context.Context, n, workers int, fn func(lo, hi int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	nc := chunks(n, workers)
-	if nc == 1 {
-		if n > 0 {
-			return forBlocks(ctx, 0, n, fn)
-		}
-		return nil
-	}
-	var sink ErrSink
-	var wg sync.WaitGroup
-	wg.Add(nc)
-	for c := 0; c < nc; c++ {
-		lo, hi := c*n/nc, (c+1)*n/nc
-		go func(lo, hi int) {
-			defer wg.Done()
-			sink.Record(forBlocks(ctx, lo, hi, fn))
-		}(lo, hi)
-	}
-	wg.Wait()
-	return sink.Get()
-}
-
-// DoCtx runs the given functions concurrently and waits for all of
-// them, recovering panics into *PanicError and short-circuiting
-// nothing: every function runs (each checks ctx itself if it wants
-// cooperative cancellation). The first panic, else the first returned
-// error, else ctx's error is returned.
-func DoCtx(ctx context.Context, fns ...func() error) error {
-	var sink ErrSink
-	run := func(fn func() error) error {
-		defer func() {
-			if pe := Recovered(recover()); pe != nil {
-				sink.Record(pe)
-			}
-		}()
-		return fn()
-	}
-	if len(fns) == 1 {
-		sink.Record(run(fns[0]))
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(len(fns))
-		for _, fn := range fns {
-			go func(fn func() error) {
-				defer wg.Done()
-				sink.Record(run(fn))
-			}(fn)
-		}
-		wg.Wait()
-	}
-	if err := sink.Get(); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
 // MaxReduceCtx evaluates chunk over the contiguous chunks of [0, n) in
 // parallel and returns the element-wise maxima of the (a, b) pairs —
 // the reduction the empirical error-bound scan (Algorithm 1, line 6)

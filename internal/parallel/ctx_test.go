@@ -59,39 +59,21 @@ func TestPanicErrorUnwrap(t *testing.T) {
 	}
 }
 
-func TestForCtxCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		n := 10000
-		seen := make([]atomic.Int32, n)
-		err := ForCtx(context.Background(), n, workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-			}
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: ForCtx = %v", workers, err)
-		}
-		for i := range seen {
-			if got := seen[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, got)
-			}
-		}
-	}
-}
-
+// TestForCtxCancellation checks that the context-aware For kernel,
+// forBlocks, stops at the first block boundary after ctx is cancelled.
 func TestForCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	var visited atomic.Int64
+	var visited int
 	n := 1 << 20
-	err := ForCtx(ctx, n, 2, func(lo, hi int) {
-		visited.Add(int64(hi - lo))
+	err := forBlocks(ctx, 0, n, func(lo, hi int) {
+		visited += hi - lo
 		cancel()
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("ForCtx = %v, want context.Canceled", err)
+		t.Fatalf("forBlocks = %v, want context.Canceled", err)
 	}
-	if v := visited.Load(); v >= int64(n) {
-		t.Fatalf("ForCtx visited the whole range (%d) despite cancellation", v)
+	if visited != ctxBlock {
+		t.Fatalf("forBlocks visited %d indices after cancellation, want one block (%d)", visited, ctxBlock)
 	}
 }
 
@@ -99,42 +81,24 @@ func TestForCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := ForCtx(ctx, 10, 1, func(lo, hi int) { ran = true })
+	err := forBlocks(ctx, 0, 10, func(lo, hi int) { ran = true })
 	if !errors.Is(err, context.Canceled) || ran {
-		t.Fatalf("pre-cancelled ForCtx = %v (ran=%v)", err, ran)
+		t.Fatalf("pre-cancelled forBlocks = %v (ran=%v)", err, ran)
 	}
 }
 
 func TestForCtxPanicOutranksCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	err := ForCtx(ctx, 8192, 4, func(lo, hi int) {
-		if lo == 0 {
-			cancel()
-			panic("boom")
-		}
+	err := forBlocks(ctx, 0, 8192, func(lo, hi int) {
+		cancel()
+		panic("boom")
 	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("ForCtx = %v, want *PanicError to outrank cancellation", err)
+		t.Fatalf("forBlocks = %v, want *PanicError to outrank cancellation", err)
 	}
-}
-
-func TestDoCtx(t *testing.T) {
-	boom := errors.New("boom")
-	err := DoCtx(context.Background(),
-		func() error { return nil },
-		func() error { return boom },
-	)
-	if !errors.Is(err, boom) {
-		t.Fatalf("DoCtx = %v, want boom", err)
-	}
-	err = DoCtx(context.Background(), func() error { panic("pow") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("DoCtx = %v, want *PanicError", err)
-	}
-	if err := DoCtx(context.Background(), func() error { return nil }); err != nil {
-		t.Fatalf("DoCtx success = %v", err)
+	if pe.Value != "boom" {
+		t.Fatalf("PanicError.Value = %v, want boom", pe.Value)
 	}
 }
 

@@ -392,7 +392,6 @@ func Open(cfg Config) (*Store, error) {
 	var wg sync.WaitGroup
 	for i := range ranges {
 		wg.Add(1)
-		//lint:ignore ctxprop recovery goroutines are joined before Open returns; nothing outlives the call
 		go func(i int) {
 			defer wg.Done()
 			procs[i], logs[i], recs[i], errs[i] = recoverShard(cfg, i, family)

@@ -82,9 +82,6 @@ type KBest struct {
 	dist []float64
 }
 
-// NewKBest returns a KBest of capacity k.
-func NewKBest(k int) *KBest { return &KBest{k: k} }
-
 // Reset empties the heap and sets a new capacity, keeping the backing
 // storage for reuse.
 //
@@ -180,12 +177,6 @@ func (b *KBest) MergeAppend(o *KBest) {
 	for i := range o.pts {
 		b.Offer(o.pts[i], o.dist[i])
 	}
-}
-
-// Points returns the candidates sorted by ascending distance. Like
-// AppendPoints, it consumes the heap.
-func (b *KBest) Points() []geo.Point {
-	return b.AppendPoints(nil)
 }
 
 // AppendPoints appends the candidates to out sorted by ascending

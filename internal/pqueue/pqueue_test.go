@@ -8,6 +8,12 @@ import (
 	"elsi/internal/geo"
 )
 
+func newKBest(k int) *KBest {
+	b := &KBest{}
+	b.Reset(k)
+	return b
+}
+
 func TestMinOrder(t *testing.T) {
 	var q Min
 	rng := rand.New(rand.NewSource(1))
@@ -42,7 +48,7 @@ func TestMinPayload(t *testing.T) {
 }
 
 func TestKBestKeepsNearest(t *testing.T) {
-	b := NewKBest(3)
+	b := newKBest(3)
 	pts := []geo.Point{{X: 5}, {X: 1}, {X: 4}, {X: 2}, {X: 3}}
 	for _, p := range pts {
 		b.Offer(p, p.X*p.X)
@@ -55,7 +61,7 @@ func TestKBestKeepsNearest(t *testing.T) {
 	if b.Worst() != 9 {
 		t.Errorf("Worst = %v, want 9", b.Worst())
 	}
-	got := b.Points()
+	got := b.AppendPoints(nil)
 	if len(got) != 3 {
 		t.Fatalf("kept %d points", len(got))
 	}
@@ -67,12 +73,12 @@ func TestKBestKeepsNearest(t *testing.T) {
 }
 
 func TestKBestUnderfilled(t *testing.T) {
-	b := NewKBest(10)
+	b := newKBest(10)
 	b.Offer(geo.Point{X: 1}, 1)
 	if b.Full() {
 		t.Error("Full with 1 of 10")
 	}
-	if got := b.Points(); len(got) != 1 {
+	if got := b.AppendPoints(nil); len(got) != 1 {
 		t.Errorf("Points = %v", got)
 	}
 }
@@ -82,7 +88,7 @@ func TestKBestRandomAgainstSort(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		k := 1 + rng.Intn(20)
 		n := 1 + rng.Intn(200)
-		b := NewKBest(k)
+		b := newKBest(k)
 		dists := make([]float64, n)
 		for i := range dists {
 			d := rng.Float64()
@@ -90,7 +96,7 @@ func TestKBestRandomAgainstSort(t *testing.T) {
 			b.Offer(geo.Point{X: d}, d)
 		}
 		sort.Float64s(dists)
-		got := b.Points()
+		got := b.AppendPoints(nil)
 		wantLen := k
 		if n < k {
 			wantLen = n
@@ -114,10 +120,10 @@ func TestMergeAppendMatchesDirectOffer(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		k := 1 + rng.Intn(16)
 		shards := 1 + rng.Intn(6)
-		direct := NewKBest(k)
+		direct := newKBest(k)
 		parts := make([]*KBest, shards)
 		for i := range parts {
-			parts[i] = NewKBest(k)
+			parts[i] = newKBest(k)
 		}
 		n := rng.Intn(300)
 		for i := 0; i < n; i++ {
@@ -126,7 +132,7 @@ func TestMergeAppendMatchesDirectOffer(t *testing.T) {
 			direct.Offer(p, d)
 			parts[rng.Intn(shards)].Offer(p, d)
 		}
-		global := NewKBest(k)
+		global := newKBest(k)
 		for _, part := range parts {
 			before := len(part.pts)
 			global.MergeAppend(part)
@@ -134,8 +140,8 @@ func TestMergeAppendMatchesDirectOffer(t *testing.T) {
 				t.Fatalf("trial %d: MergeAppend consumed the source heap", trial)
 			}
 		}
-		got := global.Points()
-		want := direct.Points()
+		got := global.AppendPoints(nil)
+		want := direct.AppendPoints(nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: merged %d candidates, want %d", trial, len(got), len(want))
 		}
@@ -150,14 +156,14 @@ func TestMergeAppendMatchesDirectOffer(t *testing.T) {
 // TestMergeAppendRespectsBound merges an overfull source into a small
 // heap and checks the k-bound holds with the smallest distances kept.
 func TestMergeAppendRespectsBound(t *testing.T) {
-	src := NewKBest(10)
+	src := newKBest(10)
 	for i := 0; i < 10; i++ {
 		src.Offer(geo.Point{X: float64(i)}, float64(i))
 	}
-	dst := NewKBest(3)
+	dst := newKBest(3)
 	dst.Offer(geo.Point{X: 0.5}, 0.5)
 	dst.MergeAppend(src)
-	got := dst.Points()
+	got := dst.AppendPoints(nil)
 	if len(got) != 3 {
 		t.Fatalf("kept %d, want 3", len(got))
 	}
@@ -171,8 +177,8 @@ func TestMergeAppendRespectsBound(t *testing.T) {
 // TestMergeAppendZeroAlloc checks the gather path allocates nothing
 // once both heaps' storage has warmed up.
 func TestMergeAppendZeroAlloc(t *testing.T) {
-	src := NewKBest(8)
-	dst := NewKBest(8)
+	src := newKBest(8)
+	dst := newKBest(8)
 	fill := func() {
 		src.Reset(8)
 		dst.Reset(8)

@@ -52,12 +52,12 @@ func allSources(t *testing.T, pts []geo.Point) map[string]Source {
 // far outside the data space, and infinite.
 func degenerateWindows() []geo.Rect {
 	return []geo.Rect{
-		{MinX: 0.8, MinY: 0.8, MaxX: 0.2, MaxY: 0.2},          // fully inverted
-		{MinX: 0.2, MinY: 0.8, MaxX: 0.8, MaxY: 0.2},          // inverted on y
-		{MinX: 0.5, MinY: 0.1, MaxX: 0.5, MaxY: 0.9},          // zero width
-		{MinX: 0.25, MinY: 0.25, MaxX: 0.25, MaxY: 0.25},      // zero area
-		{MinX: 3, MinY: 3, MaxX: 4, MaxY: 4},                  // outside the space
-		{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10},            // covers everything
+		{MinX: 0.8, MinY: 0.8, MaxX: 0.2, MaxY: 0.2},     // fully inverted
+		{MinX: 0.2, MinY: 0.8, MaxX: 0.8, MaxY: 0.2},     // inverted on y
+		{MinX: 0.5, MinY: 0.1, MaxX: 0.5, MaxY: 0.9},     // zero width
+		{MinX: 0.25, MinY: 0.25, MaxX: 0.25, MaxY: 0.25}, // zero area
+		{MinX: 3, MinY: 3, MaxX: 4, MaxY: 4},             // outside the space
+		{MinX: -10, MinY: -10, MaxX: 10, MaxY: 10},       // covers everything
 		{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)},
 	}
 }
@@ -84,7 +84,7 @@ func TestDegenerateWindowsBatchedMatchesSerial(t *testing.T) {
 }
 
 // TestDegenerateKNNBatchedMatchesSerial covers k <= 0 and k far beyond
-// the cardinality through KNNBatch and KNNVarBatch.
+// the cardinality through KNNVarBatch with one k for the whole batch.
 func TestDegenerateKNNBatchedMatchesSerial(t *testing.T) {
 	pts := dataset.MustGenerate(dataset.Uniform, 500, 29)
 	qs := []geo.Point{{X: 0.5, Y: 0.5}, {X: -3, Y: 7}, {X: 0.1, Y: 0.9}, {X: 2, Y: 2}}
@@ -96,7 +96,7 @@ func TestDegenerateKNNBatchedMatchesSerial(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				e := New(src, workers)
-				got := e.KNNBatch(qs, k, nil)
+				got := e.KNNVarBatch(qs, constK(len(qs), k), nil)
 				assertEqualResults(t, name, got, want)
 			}
 		}
@@ -123,7 +123,7 @@ func TestKNNVarBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEmptyBatches pins the zero-length batch through all four entry
+// TestEmptyBatches pins the zero-length batch through all three entry
 // points: no panic, zero-length output, reused buffers untouched.
 func TestEmptyBatches(t *testing.T) {
 	pts := dataset.MustGenerate(dataset.Uniform, 100, 37)
@@ -134,9 +134,6 @@ func TestEmptyBatches(t *testing.T) {
 		}
 		if got := e.WindowBatch(nil, nil); len(got) != 0 {
 			t.Errorf("%s: empty WindowBatch returned %d answers", name, len(got))
-		}
-		if got := e.KNNBatch(nil, 5, nil); len(got) != 0 {
-			t.Errorf("%s: empty KNNBatch returned %d answers", name, len(got))
 		}
 		if got := e.KNNVarBatch(nil, nil, nil); len(got) != 0 {
 			t.Errorf("%s: empty KNNVarBatch returned %d answers", name, len(got))

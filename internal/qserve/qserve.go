@@ -125,18 +125,10 @@ func (e *Engine) windowSpan(wins []geo.Rect, out [][]geo.Point, lo, hi int) {
 	}
 }
 
-// KNNBatch answers the k nearest neighbors of qs[i] into out[i],
-// reusing each out[i]'s backing array, growing out to len(qs), and
-// returning it. The answers match serial KNN calls element for
-// element.
-func (e *Engine) KNNBatch(qs []geo.Point, k int, out [][]geo.Point) [][]geo.Point {
-	out = GrowSlices(out, len(qs))
-	e.shard(len(qs), func(lo, hi int) { e.knnSpan(qs, k, nil, out, lo, hi) })
-	return out
-}
-
-// KNNVarBatch is KNNBatch with a per-query k: it answers the ks[i]
-// nearest neighbors of qs[i] into out[i]. len(ks) must equal len(qs).
+// KNNVarBatch answers the ks[i] nearest neighbors of qs[i] into
+// out[i], reusing each out[i]'s backing array, growing out to len(qs),
+// and returning it. len(ks) must equal len(qs). The answers match
+// serial KNN calls element for element.
 // A non-positive ks[i] yields an empty answer, exactly like the serial
 // paths. The serving layer funnels concurrently arriving kNN requests
 // — which carry their own k each — through this entry point.
@@ -145,24 +137,19 @@ func (e *Engine) KNNVarBatch(qs []geo.Point, ks []int, out [][]geo.Point) [][]ge
 		panic("qserve: KNNVarBatch len(ks) != len(qs)")
 	}
 	out = GrowSlices(out, len(qs))
-	e.shard(len(qs), func(lo, hi int) { e.knnSpan(qs, 0, ks, out, lo, hi) })
+	e.shard(len(qs), func(lo, hi int) { e.knnSpan(qs, ks, out, lo, hi) })
 	return out
 }
 
-// knnSpan is the per-worker kernel shared by KNNBatch and KNNVarBatch:
-// a nil ks means every query uses the fixed k, otherwise ks[i] wins.
+// knnSpan is KNNVarBatch's per-worker kernel.
 //
 //elsi:noalloc
-func (e *Engine) knnSpan(qs []geo.Point, k int, ks []int, out [][]geo.Point, lo, hi int) {
+func (e *Engine) knnSpan(qs []geo.Point, ks []int, out [][]geo.Point, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		ki := k
-		if ks != nil {
-			ki = ks[i]
-		}
 		if e.ka != nil {
-			out[i] = e.ka.KNNAppend(qs[i], ki, out[i][:0])
+			out[i] = e.ka.KNNAppend(qs[i], ks[i], out[i][:0])
 		} else {
-			out[i] = append(out[i][:0], e.src.KNN(qs[i], ki)...)
+			out[i] = append(out[i][:0], e.src.KNN(qs[i], ks[i])...)
 		}
 	}
 }

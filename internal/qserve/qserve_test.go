@@ -17,6 +17,16 @@ import (
 	"elsi/internal/zm"
 )
 
+// constK returns n copies of k: the per-query ks of a batch that asks
+// every query for the same k.
+func constK(n, k int) []int {
+	ks := make([]int, n)
+	for i := range ks {
+		ks[i] = k
+	}
+	return ks
+}
+
 func testQueries(pts []geo.Point, seed int64) (probes []geo.Point, wins []geo.Rect, knn []geo.Point) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 60; i++ {
@@ -95,7 +105,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 				}
 			}
 			assertEqualResults(t, name, e.WindowBatch(wins, nil), wantWin)
-			assertEqualResults(t, name, e.KNNBatch(knn, 10, nil), wantKNN)
+			assertEqualResults(t, name, e.KNNVarBatch(knn, constK(len(knn), 10), nil), wantKNN)
 		}
 	}
 }
@@ -113,12 +123,12 @@ func TestBatchBufferReuse(t *testing.T) {
 			want[i] = append([]geo.Point(nil), first[i]...)
 		}
 		assertEqualResults(t, name, e.WindowBatch(wins, first), want)
-		kfirst := e.KNNBatch(knn, 7, nil)
+		kfirst := e.KNNVarBatch(knn, constK(len(knn), 7), nil)
 		kwant := make([][]geo.Point, len(kfirst))
 		for i := range kfirst {
 			kwant[i] = append([]geo.Point(nil), kfirst[i]...)
 		}
-		assertEqualResults(t, name, e.KNNBatch(knn, 7, kfirst), kwant)
+		assertEqualResults(t, name, e.KNNVarBatch(knn, constK(len(knn), 7), kfirst), kwant)
 	}
 }
 
@@ -206,7 +216,7 @@ func TestBatchThroughProcessorDuringRebuild(t *testing.T) {
 				t.Fatalf("%s: point %d mismatch", stage, i)
 			}
 		}
-		gotKNN := e.KNNBatch(knn, 5, nil)
+		gotKNN := e.KNNVarBatch(knn, constK(len(knn), 5), nil)
 		for i, q := range knn {
 			want := p.KNN(q, 5)
 			if len(gotKNN[i]) != len(want) {
@@ -264,7 +274,7 @@ func TestBatchConcurrentWithUpdates(t *testing.T) {
 				}
 			}
 		}
-		e.KNNBatch(knn, 5, nil)
+		e.KNNVarBatch(knn, constK(len(knn), 5), nil)
 	}
 	close(stop)
 	wg.Wait()

@@ -12,8 +12,6 @@ import (
 // Tree is a point quadtree over a fixed data space.
 type Tree struct {
 	root *node
-	beta int
-	size int
 }
 
 type node struct {
@@ -28,7 +26,7 @@ func New(pts []geo.Point, space geo.Rect, beta int) *Tree {
 	if beta < 1 {
 		beta = 1
 	}
-	t := &Tree{beta: beta, size: len(pts)}
+	t := &Tree{}
 	buf := append([]geo.Point(nil), pts...)
 	t.root = build(buf, space, beta)
 	return t
@@ -90,12 +88,6 @@ func childBounds(b geo.Rect, mx, my float64, quad int) geo.Rect {
 	return out
 }
 
-// Len returns the number of stored points.
-func (t *Tree) Len() int { return t.size }
-
-// Beta returns the leaf capacity.
-func (t *Tree) Beta() int { return t.beta }
-
 // Leaves visits every leaf, passing its bounds and points (possibly
 // empty). The RS build method uses this to collect one representative
 // per non-empty leaf.
@@ -111,18 +103,6 @@ func (t *Tree) Leaves(fn func(bounds geo.Rect, pts []geo.Point)) {
 		}
 	}
 	walk(t.root)
-}
-
-// NonEmptyLeafCount returns the number of leaves holding at least one
-// point — the size of the RS training set.
-func (t *Tree) NonEmptyLeafCount() int {
-	count := 0
-	t.Leaves(func(_ geo.Rect, pts []geo.Point) {
-		if len(pts) > 0 {
-			count++
-		}
-	})
-	return count
 }
 
 // Depth returns the height of the tree (a single leaf has depth 1).
@@ -165,20 +145,4 @@ func (t *Tree) WindowQuery(win geo.Rect) []geo.Point {
 	}
 	walk(t.root)
 	return out
-}
-
-// Contains reports whether p is stored.
-func (t *Tree) Contains(p geo.Point) bool {
-	n := t.root
-	for n.children != nil {
-		mx := (n.bounds.MinX + n.bounds.MaxX) / 2
-		my := (n.bounds.MinY + n.bounds.MaxY) / 2
-		n = n.children[quadrant(p, mx, my)]
-	}
-	for _, q := range n.pts {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }

@@ -9,6 +9,18 @@ import (
 	"elsi/internal/index"
 )
 
+// nonEmptyLeaves counts the leaves holding at least one point — the
+// size of the RS training set.
+func nonEmptyLeaves(tr *Tree) int {
+	count := 0
+	tr.Leaves(func(_ geo.Rect, pts []geo.Point) {
+		if len(pts) > 0 {
+			count++
+		}
+	})
+	return count
+}
+
 func TestLeafCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := dataset.UniformPoints(rng, 2000)
@@ -23,12 +35,6 @@ func TestLeafCapacity(t *testing.T) {
 	})
 	if total != 2000 {
 		t.Errorf("leaves hold %d points, want 2000", total)
-	}
-	if tr.Len() != 2000 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	if tr.Beta() != beta {
-		t.Errorf("Beta = %d", tr.Beta())
 	}
 }
 
@@ -67,17 +73,25 @@ func TestWindowQueryMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// pointRect is the degenerate window holding only p.
+func pointRect(p geo.Point) geo.Rect {
+	return geo.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+}
+
+// TestContains checks that every stored point is reachable: a window
+// degenerate to the point finds it, and finds nothing where no point
+// was stored.
 func TestContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := dataset.UniformPoints(rng, 500)
 	tr := New(pts, geo.UnitRect, 8)
 	for _, p := range pts[:50] {
-		if !tr.Contains(p) {
-			t.Fatalf("stored point %v not found", p)
+		if got := tr.WindowQuery(pointRect(p)); len(got) != 1 || got[0] != p {
+			t.Fatalf("stored point %v: window found %v", p, got)
 		}
 	}
-	if tr.Contains(geo.Point{X: -1, Y: -1}) {
-		t.Error("phantom point found")
+	if got := tr.WindowQuery(pointRect(geo.Point{X: -1, Y: -1})); len(got) != 0 {
+		t.Errorf("phantom points found: %v", got)
 	}
 }
 
@@ -88,24 +102,18 @@ func TestDuplicatePointsTerminate(t *testing.T) {
 		pts[i] = geo.Point{X: 0.5, Y: 0.5}
 	}
 	tr := New(pts, geo.UnitRect, 2)
-	if tr.Len() != 100 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	if !tr.Contains(geo.Point{X: 0.5, Y: 0.5}) {
-		t.Error("duplicate point not found")
+	if got := tr.WindowQuery(pointRect(geo.Point{X: 0.5, Y: 0.5})); len(got) != 100 {
+		t.Errorf("duplicate point found %d times, want 100", len(got))
 	}
 }
 
 func TestEmptyTree(t *testing.T) {
 	tr := New(nil, geo.UnitRect, 4)
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d", tr.Len())
-	}
 	if got := tr.WindowQuery(geo.UnitRect); len(got) != 0 {
 		t.Errorf("empty tree window query returned %d points", len(got))
 	}
-	if tr.NonEmptyLeafCount() != 0 {
-		t.Errorf("NonEmptyLeafCount = %d", tr.NonEmptyLeafCount())
+	if n := nonEmptyLeaves(tr); n != 0 {
+		t.Errorf("non-empty leaves = %d", n)
 	}
 	if tr.Depth() != 1 {
 		t.Errorf("Depth = %d", tr.Depth())
@@ -117,7 +125,7 @@ func TestNonEmptyLeafCountBound(t *testing.T) {
 	pts := dataset.UniformPoints(rng, 5000)
 	beta := 100
 	tr := New(pts, geo.UnitRect, beta)
-	leaves := tr.NonEmptyLeafCount()
+	leaves := nonEmptyLeaves(tr)
 	// At least n/beta leaves are needed; the 2^d fanout means at most
 	// ~4n/beta non-empty leaves for uniform data.
 	if leaves < 5000/beta {

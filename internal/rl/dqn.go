@@ -127,9 +127,6 @@ func (a *Agent) Observe(state []float64, action int, reward float64, next []floa
 	}
 }
 
-// Steps returns the number of observed transitions.
-func (a *Agent) Steps() int { return a.steps }
-
 // train performs one minibatch Q-learning update: the target for the
 // taken action is r + gamma * max_a' Q_target(s', a'); other outputs
 // are masked out.

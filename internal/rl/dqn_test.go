@@ -10,8 +10,8 @@ func TestNewAgentDefaults(t *testing.T) {
 	if a.cfg.TrainEvery != 5 || a.cfg.SyncEvery != 50 || a.cfg.BatchSize != 32 {
 		t.Errorf("defaults not applied: %+v", a.cfg)
 	}
-	if a.Steps() != 0 {
-		t.Errorf("Steps = %d", a.Steps())
+	if a.steps != 0 {
+		t.Errorf("Steps = %d", a.steps)
 	}
 }
 
@@ -62,8 +62,8 @@ func TestObserveTrainsPeriodically(t *testing.T) {
 	if before == after {
 		t.Error("network unchanged after 20 observations (training never ran)")
 	}
-	if a.Steps() != 20 {
-		t.Errorf("Steps = %d", a.Steps())
+	if a.steps != 20 {
+		t.Errorf("Steps = %d", a.steps)
 	}
 }
 

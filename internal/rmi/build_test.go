@@ -115,7 +115,7 @@ func TestBuildPipelineMatchesNaiveScan(t *testing.T) {
 				if rLo, rHi := naiveBounds(s.root.Model, keys); s.root.ErrLo != rLo || s.root.ErrHi != rHi {
 					t.Fatalf("%s: root bounds (%d, %d), want (%d, %d)", name, s.root.ErrLo, s.root.ErrHi, rLo, rHi)
 				}
-				for i, leaf := range s.Leaves() {
+				for i, leaf := range s.leaves {
 					part := keys[s.splits[i]:s.splits[i+1]]
 					if lLo, lHi := naiveBounds(leaf.Model, part); leaf.N != len(part) || leaf.ErrLo != lLo || leaf.ErrHi != lHi {
 						t.Fatalf("%s: leaf %d = {N %d, %d, %d}, want {N %d, %d, %d}", name, i, leaf.N, leaf.ErrLo, leaf.ErrHi, len(part), lLo, lHi)

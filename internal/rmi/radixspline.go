@@ -69,9 +69,6 @@ func (m *RadixSplineModel) PredictCDF(key float64) float64 {
 	return clamp01f(y0 + (y1-y0)*(key-x0)/(x1-x0))
 }
 
-// Knots returns the number of spline knots.
-func (m *RadixSplineModel) Knots() int { return len(m.knotX) }
-
 // prefix extracts the radixBits top bits of the key's position within
 // [min, max].
 func (m *RadixSplineModel) prefix(key float64) int {

@@ -260,13 +260,6 @@ type FFNConfig struct {
 	Cancel func() bool
 }
 
-// DefaultFFNConfig returns the configuration used throughout the
-// experiments: one hidden layer of 16 units. Epochs are reduced from
-// the paper's 500 (GPU) to a CPU-friendly count; see DESIGN.md.
-func DefaultFFNConfig() FFNConfig {
-	return FFNConfig{Hidden: 16, Epochs: 120, Seed: 1}
-}
-
 // FFNTrainer returns a Trainer producing FFN models with cfg.
 func FFNTrainer(cfg FFNConfig) Trainer {
 	if cfg.Hidden <= 0 {
@@ -676,12 +669,6 @@ func (s *Staged) SearchRangeWide(key float64) (lo, hi int) {
 	}
 	return lo, hi
 }
-
-// Leaves exposes the per-leaf bounded models (for cost accounting).
-func (s *Staged) Leaves() []*Bounded { return s.leaves }
-
-// N returns the number of keys indexed.
-func (s *Staged) N() int { return s.n }
 
 // --- helpers ----------------------------------------------------------
 

@@ -173,11 +173,11 @@ func TestStagedFindsAllKeys(t *testing.T) {
 			t.Fatalf("key %d (%v) outside staged range [%d,%d)", i, k, lo, hi)
 		}
 	}
-	if s.N() != len(keys) {
-		t.Errorf("N = %d", s.N())
+	if s.n != len(keys) {
+		t.Errorf("N = %d", s.n)
 	}
-	if len(s.Leaves()) != 8 {
-		t.Errorf("leaves = %d", len(s.Leaves()))
+	if len(s.leaves) != 8 {
+		t.Errorf("leaves = %d", len(s.leaves))
 	}
 }
 
@@ -218,8 +218,8 @@ func TestStagedDegenerate(t *testing.T) {
 	}
 	// fanout below 1 is clamped
 	s2 := staged(t, []float64{1, 2, 3}, 0, LinearTrainer(), LinearTrainer())
-	if len(s2.Leaves()) != 1 {
-		t.Errorf("clamped fanout leaves = %d", len(s2.Leaves()))
+	if len(s2.leaves) != 1 {
+		t.Errorf("clamped fanout leaves = %d", len(s2.leaves))
 	}
 }
 
@@ -331,8 +331,8 @@ func TestRadixSplineBasics(t *testing.T) {
 		keys := sortedKeys(rng, 4000, skew)
 		for _, bits := range []int{0, 8, 12} {
 			m := RadixSplineTrainer(1.0/128, bits)(keys).(*RadixSplineModel)
-			if m.Knots() < 2 {
-				t.Fatalf("skew=%v bits=%d: %d knots", skew, bits, m.Knots())
+			if len(m.knotX) < 2 {
+				t.Fatalf("skew=%v bits=%d: %d knots", skew, bits, len(m.knotX))
 			}
 			// predictions clamped and roughly correct
 			n := len(keys)

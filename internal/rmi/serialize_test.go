@@ -57,7 +57,7 @@ func TestModelCodecRoundtrip(t *testing.T) {
 	trainers := map[string]Trainer{
 		"linear":      LinearTrainer(),
 		"piecewise":   PiecewiseTrainer(1.0 / 128),
-		"ffn":         FFNTrainer(DefaultFFNConfig()),
+		"ffn":         FFNTrainer(FFNConfig{Hidden: 16, Epochs: 120, Seed: 1}),
 		"radixspline": RadixSplineTrainer(1.0/128, 8),
 	}
 	for name, tr := range trainers {

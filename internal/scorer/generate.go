@@ -9,7 +9,6 @@ import (
 	"elsi/internal/curve"
 	"elsi/internal/dataset"
 	"elsi/internal/geo"
-	"elsi/internal/kstest"
 	"elsi/internal/methods"
 	"elsi/internal/rmi"
 	"elsi/internal/store"
@@ -33,18 +32,6 @@ type GenConfig struct {
 	Seed int64
 	// Pool lists the methods to measure; empty means all six.
 	Pool []string
-}
-
-// DefaultGenConfig returns a CPU-sized grid: five cardinalities and
-// ten distances, as in the paper's 300-combination setup.
-func DefaultGenConfig() GenConfig {
-	return GenConfig{
-		Cardinalities: []int{1000, 3000, 10000, 30000, 100000},
-		Dists:         []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9},
-		Trainer:       rmi.FFNTrainer(rmi.FFNConfig{Hidden: 8, Epochs: 20, Seed: 1}),
-		Queries:       200,
-		Seed:          1,
-	}
 }
 
 // PoolBuilders returns the pool methods configured with the paper's
@@ -170,15 +157,6 @@ func measure(ctx context.Context, b base.ModelBuilder, d *base.SortedData, st *s
 	}
 	querySec = time.Since(t0).Seconds() / float64(queries)
 	return buildSec, querySec, nil
-}
-
-// MeasureDist computes dist(D_U, D) for a prepared data set — the
-// distribution summary the selector consumes at build time.
-func MeasureDist(d *base.SortedData) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	return kstest.DistanceToUniform(d.Keys, d.Keys[0], d.Keys[d.Len()-1])
 }
 
 // IndexMeasurer builds a full base index with the given model builder

@@ -14,8 +14,8 @@ import "elsi/internal/methods"
 // it to stand up an adaptive selector at startup; experiments that
 // need faithful constants still run the measured sweep.
 //
-// The grid matches DefaultGenConfig (5 cardinalities × 10 distances ×
-// the 6 pool methods = 300 samples).
+// The grid is the paper's 300-combination setup (5 cardinalities × 10
+// distances × the 6 pool methods = 300 samples).
 func HeuristicSamples() []Sample {
 	cards := []int{1000, 3000, 10000, 30000, 100000}
 	dists := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}

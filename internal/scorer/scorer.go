@@ -66,12 +66,6 @@ type Config struct {
 	Seed   int64
 }
 
-// DefaultConfig returns the training configuration used by the
-// experiments.
-func DefaultConfig() Config {
-	return Config{Hidden: 24, Epochs: 400, Seed: 1}
-}
-
 // Train fits the two cost FFNs on ground-truth samples. Speedups are
 // learned in log10 space, which linearizes the orders-of-magnitude
 // spread of Table II.

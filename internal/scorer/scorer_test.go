@@ -61,7 +61,7 @@ func TestTrainAndSelectExtremes(t *testing.T) {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil, DefaultConfig()); err == nil {
+	if _, err := Train(nil, Config{}); err == nil {
 		t.Error("expected error for empty samples")
 	}
 }

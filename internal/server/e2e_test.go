@@ -51,7 +51,7 @@ func (g *gatedQuery) PointQuery(p geo.Point) bool {
 // startServer stands up a full stack on ephemeral localhost ports.
 func startServer(t *testing.T, proc *rebuild.Processor, cfg engine.Config) (*server.Server, *engine.Engine) {
 	t.Helper()
-	eng := engine.New(proc, nil, cfg)
+	eng := engine.NewWithBackend(engine.NewSingle(proc, cfg.Workers), nil, cfg)
 	srv := server.New(eng)
 	if err := srv.Start(context.Background(), "127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)

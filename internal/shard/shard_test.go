@@ -300,7 +300,7 @@ func TestWindowScatterPrunes(t *testing.T) {
 	}
 	// the exact pruning predicate: a visited shard's range intersects
 	// the decomposition, a skipped one's does not
-	ranges := curve.HRanges(win, geo.UnitRect, defaultRangeDepth)
+	ranges := curve.HRangesAppend(win, geo.UnitRect, defaultRangeDepth, nil)
 	for i, s := range st.Shards {
 		overlap := overlapsAny(ranges, s.KeyLo, s.KeyHi)
 		if overlap != (s.WindowQueries > 0) {

@@ -31,11 +31,6 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// AppendU32 appends a fixed-width little-endian uint32.
-func AppendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
 // AppendU64 appends a fixed-width little-endian uint64.
 func AppendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
@@ -178,16 +173,6 @@ func (d *Dec) Bool() bool {
 		return false
 	}
 	return v == 1
-}
-
-// U32 decodes a fixed-width little-endian uint32.
-func (d *Dec) U32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
 }
 
 // U64 decodes a fixed-width little-endian uint64.

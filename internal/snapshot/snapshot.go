@@ -37,7 +37,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -244,26 +243,6 @@ func GC(dir string, keepLSN uint64) error {
 		}
 	}
 	return syncDir(dir)
-}
-
-// List returns the covered LSNs of installed snapshots in dir, sorted
-// ascending.
-func List(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var lsns []uint64
-	for _, e := range ents {
-		if e.IsDir() {
-			continue
-		}
-		if lsn, ok := parseName(e.Name()); ok {
-			lsns = append(lsns, lsn)
-		}
-	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
-	return lsns, nil
 }
 
 func syncDir(dir string) error {

@@ -71,31 +71,3 @@ func Percentile(sorted []time.Duration, p float64) time.Duration {
 	}
 	return sorted[rank]
 }
-
-// MeanFloat returns the arithmetic mean of vs (0 for empty input).
-func MeanFloat(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vs {
-		sum += v
-	}
-	return sum / float64(len(vs))
-}
-
-// GeoMean returns the geometric mean of positive vs — the right
-// average for speedup factors (the paper's "70x on average").
-func GeoMean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, v := range vs {
-		if v <= 0 {
-			return 0
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(vs)))
-}

@@ -65,27 +65,3 @@ func TestPercentileOrderingInvariant(t *testing.T) {
 		t.Errorf("percentiles out of order: %+v", s)
 	}
 }
-
-func TestMeanFloat(t *testing.T) {
-	if got := MeanFloat([]float64{1, 2, 3}); got != 2 {
-		t.Errorf("MeanFloat = %v", got)
-	}
-	if got := MeanFloat(nil); got != 0 {
-		t.Errorf("empty MeanFloat = %v", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 10", got)
-	}
-	if got := GeoMean([]float64{4, 4, 4}); math.Abs(got-4) > 1e-9 {
-		t.Errorf("GeoMean = %v, want 4", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("empty GeoMean = %v", got)
-	}
-	if got := GeoMean([]float64{1, -1}); got != 0 {
-		t.Errorf("negative GeoMean = %v", got)
-	}
-}

@@ -1,10 +1,8 @@
 // Package store provides the storage substrate shared by the indices:
-// a sorted structure-of-arrays of (key, point) columns with block-
-// granular cost accounting for the predict-and-scan learned indices,
-// and fixed-capacity data pages for LISA-style page storage. The paper
-// stores data in blocks of B = 100 points (Section VII-B1); the
-// counters here let the benchmark harness report scan work in the same
-// units.
+// a sorted structure-of-arrays of (key, point) columns with scan-cost
+// accounting for the predict-and-scan learned indices. The paper
+// stores data in blocks of B = 100 points (Section VII-B1); BlockSize
+// is that B, shared by the page- and node-structured indices.
 //
 // The layout is deliberately columnar: binary searches touch only the
 // dense key column ([]float64, 8 bytes/entry) and bounded scans stream
@@ -16,7 +14,6 @@
 package store
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"elsi/internal/geo"
@@ -24,12 +21,6 @@ import (
 
 // BlockSize is the paper's block size B.
 const BlockSize = 100
-
-// Entry is one stored point with its 1-D mapped key.
-type Entry struct {
-	Key   float64
-	Point geo.Point
-}
 
 // Sorted is an immutable pair of parallel columns sorted by key — the
 // storage layout of a map-and-sort index. It counts scanned entries so
@@ -40,21 +31,6 @@ type Sorted struct {
 	keys    []float64
 	pts     []geo.Point
 	scanned atomic.Int64
-}
-
-// NewSorted builds a Sorted store from keys and points (parallel
-// slices), copying and sorting them together by key. The inputs are
-// left untouched.
-func NewSorted(keys []float64, pts []geo.Point) *Sorted {
-	if len(keys) != len(pts) {
-		panic("store: keys and points length mismatch")
-	}
-	ks := make([]float64, len(keys))
-	ps := make([]geo.Point, len(pts))
-	copy(ks, keys)
-	copy(ps, pts)
-	sort.Sort(&pairSorter{keys: ks, pts: ps})
-	return &Sorted{keys: ks, pts: ps}
 }
 
 // NewSortedColumns takes ownership of already-sorted parallel columns
@@ -74,31 +50,6 @@ func NewSortedColumns(keys []float64, pts []geo.Point) *Sorted {
 	return &Sorted{keys: keys, pts: pts}
 }
 
-// NewSortedFromEntries takes ownership of entries, sorting them by key
-// and splitting them into columns.
-func NewSortedFromEntries(es []Entry) *Sorted {
-	sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
-	ks := make([]float64, len(es))
-	ps := make([]geo.Point, len(es))
-	for i, e := range es {
-		ks[i] = e.Key
-		ps[i] = e.Point
-	}
-	return &Sorted{keys: ks, pts: ps}
-}
-
-type pairSorter struct {
-	keys []float64
-	pts  []geo.Point
-}
-
-func (s *pairSorter) Len() int           { return len(s.keys) }
-func (s *pairSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *pairSorter) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.pts[i], s.pts[j] = s.pts[j], s.pts[i]
-}
-
 // Len returns the number of stored entries.
 //
 //elsi:noalloc
@@ -112,9 +63,6 @@ func (s *Sorted) Keys() []float64 { return s.keys }
 // Points returns the point column (parallel to Keys) as a read-only
 // view.
 func (s *Sorted) Points() []geo.Point { return s.pts }
-
-// At returns the i-th entry in key order.
-func (s *Sorted) At(i int) Entry { return Entry{Key: s.keys[i], Point: s.pts[i]} }
 
 // KeyAt returns the i-th key in key order.
 //
@@ -337,199 +285,3 @@ func (s *Sorted) Scanned() int64 { return s.scanned.Load() }
 // ResetScanned zeroes the scan counter (called between experiment
 // phases).
 func (s *Sorted) ResetScanned() { s.scanned.Store(0) }
-
-// Blocks returns the number of B-sized blocks the store occupies.
-func (s *Sorted) Blocks() int {
-	return (len(s.keys) + BlockSize - 1) / BlockSize
-}
-
-// --- Pages (LISA-style) -----------------------------------------------
-
-// PageList is an ordered list of fixed-capacity pages covering
-// contiguous key ranges, stored as parallel key/point columns per
-// page. The scan counter is atomic for the same reason as Sorted's;
-// the page structure itself is only mutated by Insert/Truncate, which
-// callers must serialize against scans.
-type PageList struct {
-	keys    [][]float64
-	pts     [][]geo.Point
-	scanned atomic.Int64
-}
-
-// NewPageList packs sorted entries into pages of BlockSize.
-func NewPageList(sorted []Entry) *PageList {
-	pl := &PageList{}
-	for start := 0; start < len(sorted); start += BlockSize {
-		end := start + BlockSize
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		ks := make([]float64, end-start, BlockSize+1)
-		ps := make([]geo.Point, end-start, BlockSize+1)
-		for i, e := range sorted[start:end] {
-			ks[i] = e.Key
-			ps[i] = e.Point
-		}
-		pl.keys = append(pl.keys, ks)
-		pl.pts = append(pl.pts, ps)
-	}
-	return pl
-}
-
-// NumPages returns the page count.
-func (pl *PageList) NumPages() int { return len(pl.keys) }
-
-// Len returns the total number of stored entries.
-func (pl *PageList) Len() int {
-	total := 0
-	for _, ks := range pl.keys {
-		total += len(ks)
-	}
-	return total
-}
-
-// PageKeys returns the i-th page's key column as a read-only view.
-func (pl *PageList) PageKeys(i int) []float64 { return pl.keys[i] }
-
-// PagePoints returns the i-th page's point column as a read-only view.
-func (pl *PageList) PagePoints(i int) []geo.Point { return pl.pts[i] }
-
-//elsi:noalloc
-func (pl *PageList) clampPages(lo, hi int) (int, int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(pl.keys) {
-		hi = len(pl.keys)
-	}
-	if lo > hi {
-		lo = hi
-	}
-	return lo, hi
-}
-
-// FindPointPages scans pages [lo, hi) for a point equal to p,
-// charging every entry visited with one atomic add per page scanned.
-//
-//elsi:noalloc
-func (pl *PageList) FindPointPages(lo, hi int, p geo.Point) bool {
-	lo, hi = pl.clampPages(lo, hi)
-	visited := int64(0)
-	for i := lo; i < hi; i++ {
-		for j, q := range pl.pts[i] {
-			if q == p {
-				pl.scanned.Add(visited + int64(j+1))
-				return true
-			}
-		}
-		visited += int64(len(pl.pts[i]))
-	}
-	pl.scanned.Add(visited)
-	return false
-}
-
-// CollectWindowPages appends to out the points in pages [lo, hi) that
-// fall inside win, charging every entry visited with one atomic add.
-//
-//elsi:noalloc
-func (pl *PageList) CollectWindowPages(lo, hi int, win geo.Rect, out []geo.Point) []geo.Point {
-	lo, hi = pl.clampPages(lo, hi)
-	visited := int64(0)
-	for i := lo; i < hi; i++ {
-		for _, q := range pl.pts[i] {
-			if win.Contains(q) {
-				out = append(out, q)
-			}
-		}
-		visited += int64(len(pl.pts[i]))
-	}
-	pl.scanned.Add(visited)
-	return out
-}
-
-// Insert adds e to page i, keeping the page's key order, and splits the
-// page when it overflows. It returns the number of pages after the
-// insert (splits shift subsequent page indices).
-func (pl *PageList) Insert(i int, e Entry) int {
-	if len(pl.keys) == 0 {
-		pl.keys = [][]float64{{e.Key}}
-		pl.pts = [][]geo.Point{{e.Point}}
-		return 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(pl.keys) {
-		i = len(pl.keys) - 1
-	}
-	ks, ps := pl.keys[i], pl.pts[i]
-	pos := searchGE(ks, 0, len(ks), e.Key)
-	ks = append(ks, 0)
-	ps = append(ps, geo.Point{})
-	copy(ks[pos+1:], ks[pos:])
-	copy(ps[pos+1:], ps[pos:])
-	ks[pos] = e.Key
-	ps[pos] = e.Point
-	if len(ks) > BlockSize {
-		mid := len(ks) / 2
-		rightK := make([]float64, len(ks)-mid, BlockSize+1)
-		rightP := make([]geo.Point, len(ps)-mid, BlockSize+1)
-		copy(rightK, ks[mid:])
-		copy(rightP, ps[mid:])
-		pl.keys[i] = ks[:mid]
-		pl.pts[i] = ps[:mid]
-		pl.keys = append(pl.keys, nil)
-		pl.pts = append(pl.pts, nil)
-		copy(pl.keys[i+2:], pl.keys[i+1:])
-		copy(pl.pts[i+2:], pl.pts[i+1:])
-		pl.keys[i+1] = rightK
-		pl.pts[i+1] = rightP
-	} else {
-		pl.keys[i] = ks
-		pl.pts[i] = ps
-	}
-	return len(pl.keys)
-}
-
-// Truncate shrinks page i to its first n entries.
-func (pl *PageList) Truncate(i, n int) {
-	if i < 0 || i >= len(pl.keys) {
-		return
-	}
-	if n < 0 {
-		n = 0
-	}
-	if n > len(pl.keys[i]) {
-		n = len(pl.keys[i])
-	}
-	pl.keys[i] = pl.keys[i][:n]
-	pl.pts[i] = pl.pts[i][:n]
-}
-
-// PageFor returns the index of the page whose key range should hold k
-// (the last page whose first key is <= k). The binary search is spelled
-// out rather than phrased through sort.Search, whose predicate closure
-// would capture pl and k and escape to the heap on every lookup.
-//
-//elsi:noalloc
-func (pl *PageList) PageFor(k float64) int {
-	lo, hi := 0, len(pl.keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if len(pl.keys[mid]) > 0 && pl.keys[mid][0] > k {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return lo - 1
-}
-
-// Scanned returns the cumulative entries visited.
-func (pl *PageList) Scanned() int64 { return pl.scanned.Load() }
-
-// ResetScanned zeroes the counter.
-func (pl *PageList) ResetScanned() { pl.scanned.Store(0) }

@@ -11,42 +11,17 @@ import (
 func makeSorted(t *testing.T, n int, seed int64) *Sorted {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	keys := make([]float64, n)
 	pts := make([]geo.Point, n)
-	for i := range keys {
-		keys[i] = rng.Float64()
-		pts[i] = geo.Point{X: keys[i], Y: rng.Float64()}
+	for i := range pts {
+		x := rng.Float64()
+		pts[i] = geo.Point{X: x, Y: rng.Float64()}
 	}
-	return NewSorted(keys, pts)
-}
-
-func TestNewSortedSortsByKey(t *testing.T) {
-	s := makeSorted(t, 500, 1)
-	keys := s.Keys()
-	if !sort.Float64sAreSorted(keys) {
-		t.Fatal("keys not sorted")
+	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+	keys := make([]float64, n)
+	for i, p := range pts {
+		keys[i] = p.X
 	}
-	if s.Len() != 500 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	// keys and points stay parallel through the co-sort
-	for i := 0; i < s.Len(); i++ {
-		if s.PointAt(i).X != s.KeyAt(i) {
-			t.Fatalf("entry %d: key %v detached from point %v", i, s.KeyAt(i), s.PointAt(i))
-		}
-	}
-}
-
-func TestNewSortedLeavesInputsUntouched(t *testing.T) {
-	keys := []float64{3, 1, 2}
-	pts := []geo.Point{{X: 3}, {X: 1}, {X: 2}}
-	s := NewSorted(keys, pts)
-	if keys[0] != 3 || pts[0].X != 3 {
-		t.Error("NewSorted mutated its inputs")
-	}
-	if s.KeyAt(0) != 1 || s.PointAt(2).X != 3 {
-		t.Error("NewSorted did not sort its copy")
-	}
+	return NewSortedColumns(keys, pts)
 }
 
 func TestNewSortedMismatchPanics(t *testing.T) {
@@ -55,7 +30,7 @@ func TestNewSortedMismatchPanics(t *testing.T) {
 			t.Error("expected panic on length mismatch")
 		}
 	}()
-	NewSorted([]float64{1}, nil)
+	NewSortedColumns([]float64{1}, nil)
 }
 
 func TestNewSortedColumnsAliases(t *testing.T) {
@@ -88,7 +63,7 @@ func TestKeysIsView(t *testing.T) {
 
 func TestFindPoint(t *testing.T) {
 	s := makeSorted(t, 200, 4)
-	target := s.At(57).Point
+	target := s.PointAt(57)
 	if !s.FindPoint(0, s.Len(), target) {
 		t.Error("stored point not found")
 	}
@@ -108,7 +83,7 @@ func TestFindPointAccounting(t *testing.T) {
 		t.Errorf("miss scanned %d entries, want 100", s.Scanned())
 	}
 	s.ResetScanned()
-	s.FindPoint(0, s.Len(), s.At(9).Point)
+	s.FindPoint(0, s.Len(), s.PointAt(9))
 	if s.Scanned() != 10 {
 		t.Errorf("hit at position 9 charged %d, want 10", s.Scanned())
 	}
@@ -120,7 +95,7 @@ func TestCollectWindow(t *testing.T) {
 	got := s.CollectWindow(0, s.Len(), win, nil)
 	want := 0
 	for i := 0; i < s.Len(); i++ {
-		if win.Contains(s.At(i).Point) {
+		if win.Contains(s.PointAt(i)) {
 			want++
 		}
 	}
@@ -159,7 +134,7 @@ func TestCollectRange(t *testing.T) {
 }
 
 func TestSearchKey(t *testing.T) {
-	s := NewSorted([]float64{1, 3, 5}, []geo.Point{{X: 1}, {X: 3}, {X: 5}})
+	s := NewSortedColumns([]float64{1, 3, 5}, []geo.Point{{X: 1}, {X: 3}, {X: 5}})
 	cases := []struct {
 		k    float64
 		want int
@@ -171,133 +146,13 @@ func TestSearchKey(t *testing.T) {
 	}
 }
 
-func TestBlocks(t *testing.T) {
-	s := makeSorted(t, 250, 6)
-	if got := s.Blocks(); got != 3 {
-		t.Errorf("Blocks = %d, want 3 (B=%d)", got, BlockSize)
-	}
-}
-
-func TestPageListBuild(t *testing.T) {
-	s := makeSorted(t, 550, 7)
-	entries := make([]Entry, s.Len())
-	for i := range entries {
-		entries[i] = s.At(i)
-	}
-	pl := NewPageList(entries)
-	if pl.NumPages() != 6 {
-		t.Errorf("NumPages = %d, want 6", pl.NumPages())
-	}
-	if pl.Len() != 550 {
-		t.Errorf("Len = %d", pl.Len())
-	}
-	// pages hold contiguous sorted runs with parallel columns
-	var prev float64 = -1
-	for i := 0; i < pl.NumPages(); i++ {
-		ks, ps := pl.PageKeys(i), pl.PagePoints(i)
-		if len(ks) != len(ps) {
-			t.Fatalf("page %d: column lengths diverge", i)
-		}
-		for _, k := range ks {
-			if k < prev {
-				t.Fatal("page entries out of order")
-			}
-			prev = k
-		}
-	}
-}
-
-func TestPageInsertAndSplit(t *testing.T) {
-	entries := make([]Entry, BlockSize)
-	for i := range entries {
-		entries[i] = Entry{Key: float64(i), Point: geo.Point{X: float64(i)}}
-	}
-	pl := NewPageList(entries)
-	if pl.NumPages() != 1 {
-		t.Fatalf("NumPages = %d", pl.NumPages())
-	}
-	pl.Insert(0, Entry{Key: 50.5, Point: geo.Point{X: 50.5}})
-	if pl.NumPages() != 2 {
-		t.Fatalf("expected split, NumPages = %d", pl.NumPages())
-	}
-	if pl.Len() != BlockSize+1 {
-		t.Errorf("Len = %d", pl.Len())
-	}
-	// keys still globally ordered across pages, points still parallel
-	var prev float64 = -1
-	for i := 0; i < pl.NumPages(); i++ {
-		ks, ps := pl.PageKeys(i), pl.PagePoints(i)
-		for j, k := range ks {
-			if k < prev {
-				t.Fatal("split broke ordering")
-			}
-			if ps[j].X != k {
-				t.Fatalf("split detached point %v from key %v", ps[j], k)
-			}
-			prev = k
-		}
-	}
-}
-
-func TestPageInsertEmpty(t *testing.T) {
-	pl := NewPageList(nil)
-	pl.Insert(0, Entry{Key: 1})
-	if pl.Len() != 1 || pl.NumPages() != 1 {
-		t.Errorf("insert into empty list: pages=%d len=%d", pl.NumPages(), pl.Len())
-	}
-}
-
-func TestPageFor(t *testing.T) {
-	var entries []Entry
-	for i := 0; i < 3*BlockSize; i++ {
-		entries = append(entries, Entry{Key: float64(i)})
-	}
-	pl := NewPageList(entries)
-	if got := pl.PageFor(-1); got != 0 {
-		t.Errorf("PageFor(-1) = %d", got)
-	}
-	if got := pl.PageFor(float64(BlockSize) + 0.5); got != 1 {
-		t.Errorf("PageFor(mid) = %d", got)
-	}
-	if got := pl.PageFor(1e9); got != 2 {
-		t.Errorf("PageFor(huge) = %d", got)
-	}
-}
-
-func TestPageListKernels(t *testing.T) {
-	var entries []Entry
-	for i := 0; i < 250; i++ {
-		entries = append(entries, Entry{Key: float64(i), Point: geo.Point{X: float64(i)}})
-	}
-	pl := NewPageList(entries)
-	if !pl.FindPointPages(0, pl.NumPages(), geo.Point{X: 120}) {
-		t.Error("stored point not found")
-	}
-	if pl.FindPointPages(0, 1, geo.Point{X: 120}) {
-		t.Error("point found outside page range")
-	}
-	pl.ResetScanned()
-	win := geo.Rect{MinX: 99.5, MinY: -1, MaxX: 130.5, MaxY: 1}
-	got := pl.CollectWindowPages(1, 2, win, nil)
-	if len(got) != 31 {
-		t.Errorf("CollectWindowPages found %d points, want 31", len(got))
-	}
-	if pl.Scanned() != int64(BlockSize) {
-		t.Errorf("Scanned = %d, want %d", pl.Scanned(), BlockSize)
-	}
-	pl.ResetScanned()
-	if pl.Scanned() != 0 {
-		t.Error("ResetScanned failed")
-	}
-}
-
 func TestFirstGEMatchesSearchKey(t *testing.T) {
 	s := makeSorted(t, 1000, 11)
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 500; trial++ {
 		var k float64
 		if trial%3 == 0 {
-			k = s.At(rng.Intn(s.Len())).Key // exact stored key
+			k = s.KeyAt(rng.Intn(s.Len())) // exact stored key
 		} else {
 			k = rng.Float64() * 1.2
 		}
@@ -310,7 +165,7 @@ func TestFirstGEMatchesSearchKey(t *testing.T) {
 }
 
 func TestFirstGEHintEdges(t *testing.T) {
-	s := NewSorted([]float64{1, 2, 2, 3}, make([]geo.Point, 4))
+	s := NewSortedColumns([]float64{1, 2, 2, 3}, make([]geo.Point, 4))
 	if got := s.FirstGE(2, -10); got != 1 {
 		t.Errorf("negative hint: %d", got)
 	}
@@ -323,14 +178,14 @@ func TestFirstGEHintEdges(t *testing.T) {
 	if got := s.FirstGE(10, 0); got != 4 {
 		t.Errorf("above-max: %d", got)
 	}
-	empty := NewSorted(nil, nil)
+	empty := NewSortedColumns(nil, nil)
 	if got := empty.FirstGE(1, 0); got != 0 {
 		t.Errorf("empty store: %d", got)
 	}
 }
 
 func TestFirstGT(t *testing.T) {
-	s := NewSorted([]float64{1, 2, 2, 2, 3}, make([]geo.Point, 5))
+	s := NewSortedColumns([]float64{1, 2, 2, 2, 3}, make([]geo.Point, 5))
 	if got := s.FirstGT(2, 0); got != 4 {
 		t.Errorf("FirstGT(2) = %d, want 4", got)
 	}
@@ -340,7 +195,7 @@ func TestFirstGT(t *testing.T) {
 	if got := s.FirstGT(0.5, 2); got != 0 {
 		t.Errorf("FirstGT(0.5) = %d, want 0", got)
 	}
-	empty := NewSorted(nil, nil)
+	empty := NewSortedColumns(nil, nil)
 	if got := empty.FirstGT(1, 0); got != 0 {
 		t.Errorf("empty store: %d", got)
 	}
@@ -355,7 +210,7 @@ func TestFirstGTDuplicateRuns(t *testing.T) {
 			keys = append(keys, float64(run))
 		}
 	}
-	s := NewSorted(keys, make([]geo.Point, len(keys)))
+	s := NewSortedColumns(keys, make([]geo.Point, len(keys)))
 	probes := []float64{-1, 0, 0.5, 1, 2.5, 3, 5, 6}
 	for _, k := range probes {
 		want := 0
@@ -378,7 +233,7 @@ func TestFirstGTMatchesFirstGE(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		var k float64
 		if trial%2 == 0 {
-			k = s.At(rng.Intn(s.Len())).Key
+			k = s.KeyAt(rng.Intn(s.Len()))
 		} else {
 			k = rng.Float64() * 1.2
 		}
