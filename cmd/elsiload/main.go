@@ -14,26 +14,23 @@
 //
 //	elsiload -target tcp://127.0.0.1:9090 -rate 2000 -duration 10s
 //	elsiload -target http://127.0.0.1:8080 -rate 500 -duration 5s
-//	elsiload -inproc -rate 3000 -duration 3s -o report.json
-//	elsiload -inproc -zipf 1.2 -mix 60:15:10:10:5 -sweep-cache -o report.json
+//	elsiload -target tcp://127.0.0.1:9090 -zipf 1.2 -mix 60:15:10:10:5 -o report.json
 //
-// With -inproc, elsiload stands up the full elsid stack in-process on
-// ephemeral localhost ports and drives both transports back to back —
-// the one-command, no-daemon way to load the serving stack. The
-// repository benchmark (benchmark/README.md) is where served
-// throughput and latency are measured.
+// elsiload is a pure client: the stack under test is whatever elsid
+// was started with (e.g. elsid -shards 4 -cache -adaptive), and a
+// comparison across stacks is one elsid start and one elsiload run per
+// configuration. The repository benchmark (benchmark/README.md) is
+// where served throughput and latency are measured.
 //
 // The workload shape is controlled by -mix (operation ratios) and
 // -zipf (query skew): with -zipf s > 1, query centers are drawn
 // Zipf(s) from a pool of -hotspots actual data points instead of
 // uniformly, reproducing the hot-spotted read traffic of real spatial
 // decision workloads. Identical hot queries repeat exactly, so the
-// result cache (-cache, or the off/on comparison -sweep-cache) has
-// something to hit.
+// result cache (elsid -cache) has something to hit.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -48,20 +45,10 @@ import (
 	"sync"
 	"time"
 
-	"elsi/internal/base"
 	"elsi/internal/client"
-	"elsi/internal/core"
 	"elsi/internal/dataset"
 	"elsi/internal/engine"
 	"elsi/internal/geo"
-	"elsi/internal/monitor"
-	"elsi/internal/qcache"
-	"elsi/internal/rebuild"
-	"elsi/internal/rmi"
-	"elsi/internal/scorer"
-	"elsi/internal/server"
-	"elsi/internal/shard"
-	"elsi/internal/zm"
 )
 
 // apiClient is the operation surface both transports expose.
@@ -76,22 +63,15 @@ type apiClient interface {
 
 func main() {
 	var (
-		target   = flag.String("target", "", "server address: tcp://host:port or http://host:port (empty requires -inproc)")
-		inproc   = flag.Bool("inproc", false, "stand up the serving stack in-process and drive both transports")
+		target   = flag.String("target", "", "server address: tcp://host:port or http://host:port")
 		rate     = flag.Float64("rate", 1000, "offered load in requests/second")
-		duration = flag.Duration("duration", 5*time.Second, "measured load duration per run")
+		duration = flag.Duration("duration", 5*time.Second, "measured load duration")
 		warmup   = flag.Duration("warmup", 0, "run the stream this long before measuring; warmup samples are excluded from the latency percentiles and throughput")
 		conns    = flag.Int("conns", 16, "connection pool size (TCP conns / HTTP concurrency bound)")
 		seed     = flag.Int64("seed", 1, "random seed for arrivals and the op mix")
-		n        = flag.Int("n", 50000, "in-process data set cardinality (-inproc)")
-		shards   = flag.Int("shards", 1, "in-process spatial shard count (-inproc)")
-		sweep    = flag.String("sweep-shards", "", "comma-separated shard counts: one in-proc TCP run per count (e.g. 1,4,16)")
 		mix      = flag.String("mix", "40:10:15:20:15", "operation ratios point:window:knn[:insert:delete] (3 parts = read-only)")
 		zipfS    = flag.Float64("zipf", 0, "query-center skew: Zipf exponent over the hotspot pool (> 1 enables, 0 = uniform centers)")
 		hotspots = flag.Int("hotspots", 128, "hotspot pool size for -zipf (drawn from the data set prefix)")
-		cache    = flag.Bool("cache", false, "enable the in-process result cache (-inproc)")
-		adaptive = flag.Bool("adaptive", false, "enable in-process workload monitoring + adaptive method selection (-inproc)")
-		sweepC   = flag.Bool("sweep-cache", false, "two in-proc TCP runs, cache off then on, same workload")
 		out      = flag.String("o", "-", "output path for the JSON report (- = stdout)")
 	)
 	flag.Parse()
@@ -101,22 +81,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "elsiload:", err)
 		os.Exit(1)
 	}
-	opts := inprocOpts{n: *n, shards: *shards, cache: *cache, adaptive: *adaptive}
-	if err := run(*target, *inproc, *rate, *duration, *warmup, *conns, *seed, opts, *sweep, *sweepC, mx, *mix, *zipfS, *out); err != nil {
+	if err := run(*target, *rate, *duration, *warmup, *conns, *seed, mx, *mix, *zipfS, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "elsiload:", err)
 		os.Exit(1)
 	}
 }
 
-// inprocOpts shapes the in-process serving stack.
-type inprocOpts struct {
-	n        int
-	shards   int
-	cache    bool
-	adaptive bool
-}
-
-func run(target string, inproc bool, rate float64, duration, warmup time.Duration, conns int, seed int64, opts inprocOpts, sweep string, sweepCache bool, mx *mixer, mixSpec string, zipfS float64, out string) error {
+func run(target string, rate float64, duration, warmup time.Duration, conns int, seed int64, mx *mixer, mixSpec string, zipfS float64, out string) error {
+	if target == "" {
+		return fmt.Errorf("need -target")
+	}
 	report := benchReport{
 		Name:     "serving-loadtest",
 		Seed:     seed,
@@ -132,78 +106,11 @@ func run(target string, inproc bool, rate float64, duration, warmup time.Duratio
 	if warmup > 0 {
 		report.Warmup = warmup.String()
 	}
-	shards := opts.shards
-
-	if sweepCache {
-		// cache off/on comparison: identical workload, identical stack,
-		// the cache is the only variable — the PR10 benchmark artifact.
-		for _, on := range []bool{false, true} {
-			o := opts
-			o.cache = on
-			srv, cleanup, err := startInproc(seed, o)
-			if err != nil {
-				return err
-			}
-			res, err := runLoad("tcp://"+srv.TCPAddr(), rate, duration, warmup, conns, seed, mx)
-			cleanup()
-			if err != nil {
-				return err
-			}
-			res.Shards = shards
-			res.CacheOn = on
-			report.Runs = append(report.Runs, res)
-		}
-	} else if sweep != "" {
-		// shard-count sweep: one in-proc TCP run per count, same
-		// workload, so the per-S rows are directly comparable
-		for _, f := range strings.Split(sweep, ",") {
-			s, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || s < 1 {
-				return fmt.Errorf("bad -sweep-shards entry %q", f)
-			}
-			o := opts
-			o.shards = s
-			srv, cleanup, err := startInproc(seed, o)
-			if err != nil {
-				return err
-			}
-			res, err := runLoad("tcp://"+srv.TCPAddr(), rate, duration, warmup, conns, seed, mx)
-			cleanup()
-			if err != nil {
-				return err
-			}
-			res.Shards = s
-			report.Runs = append(report.Runs, res)
-		}
-	} else if inproc {
-		srv, cleanup, err := startInproc(seed, opts)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		for _, tr := range []string{"tcp", "http"} {
-			addr := "tcp://" + srv.TCPAddr()
-			if tr == "http" {
-				addr = "http://" + srv.HTTPAddr()
-			}
-			res, err := runLoad(addr, rate, duration, warmup, conns, seed, mx)
-			if err != nil {
-				return err
-			}
-			res.Shards = shards
-			res.CacheOn = opts.cache
-			report.Runs = append(report.Runs, res)
-		}
-	} else {
-		if target == "" {
-			return fmt.Errorf("need -target or -inproc")
-		}
-		res, err := runLoad(target, rate, duration, warmup, conns, seed, mx)
-		if err != nil {
-			return err
-		}
-		report.Runs = append(report.Runs, res)
+	res, err := runLoad(target, rate, duration, warmup, conns, seed, mx)
+	if err != nil {
+		return err
 	}
+	report.Runs = append(report.Runs, res)
 
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -215,102 +122,6 @@ func run(target string, inproc bool, rate float64, duration, warmup time.Duratio
 		return err
 	}
 	return os.WriteFile(out, data, 0o644)
-}
-
-// startInproc builds the elsid stack on ephemeral localhost ports:
-// unsharded for shards <= 1, a Hilbert-partitioned router otherwise.
-// With opts.adaptive, every shard gets its own workload monitor and
-// ELSI System (learned selection over a shared heuristic-trained
-// scorer), so background rebuilds re-score the method pool against the
-// traffic the shard actually saw; with opts.cache the engine answers
-// repeated hot queries from the generation-stamped result cache.
-func startInproc(seed int64, opts inprocOpts) (*server.Server, func(), error) {
-	n, shards := opts.n, opts.shards
-	pts := dataset.MustGenerate(dataset.Uniform, n, seed)
-	pred, err := rebuild.TrainPredictor(
-		rebuild.HeuristicSamples(rand.New(rand.NewSource(seed)), 1000),
-		rebuild.PredictorConfig{Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
-	var sc *scorer.Scorer
-	if opts.adaptive {
-		if sc, err = scorer.Train(scorer.HeuristicSamples(), scorer.Config{Seed: seed}); err != nil {
-			return nil, nil, err
-		}
-	}
-	factory := func() rebuild.Rebuildable {
-		return zm.New(zm.Config{
-			Space:   geo.UnitRect,
-			Builder: &base.Direct{Trainer: rmi.PiecewiseTrainer(1.0 / 256)},
-			Fanout:  8,
-		})
-	}
-	mapKey := factory().(*zm.Index).MapKey
-	fu := n / 10
-	if shards > 1 {
-		fu = max(1, fu/shards)
-	}
-	mk := func(sub []geo.Point) (*rebuild.Processor, error) {
-		proc, err := rebuild.NewProcessor(factory(), pred, sub, mapKey, fu)
-		if err != nil {
-			return nil, err
-		}
-		proc.Factory = factory
-		proc.Retry = &rebuild.RetryPolicy{}
-		if opts.adaptive {
-			if err := adaptShard(proc, sc); err != nil {
-				return nil, err
-			}
-		}
-		return proc, nil
-	}
-	var be engine.Backend
-	if shards <= 1 {
-		proc, err := mk(pts)
-		if err != nil {
-			return nil, nil, err
-		}
-		be = engine.NewSingle(proc, 0)
-	} else {
-		r, err := shard.New(pts, geo.UnitRect, shard.Config{Shards: shards}, mk)
-		if err != nil {
-			return nil, nil, err
-		}
-		be = r
-	}
-	ecfg := engine.Config{}
-	if opts.cache {
-		ecfg.Cache = &qcache.Config{}
-	}
-	eng := engine.NewWithBackend(be, nil, ecfg)
-	srv := server.New(eng)
-	if err := srv.Start(context.Background(), "127.0.0.1:0", "127.0.0.1:0"); err != nil {
-		return nil, nil, err
-	}
-	return srv, func() { srv.Close() }, nil
-}
-
-// adaptShard wires the monitoring → re-selection loop onto one shard:
-// a fresh per-shard System (each shard adapts to its own traffic) over
-// the shared scorer, a monitor, and a rebuild factory that builds its
-// models through the System so re-ranks take effect on the next swap.
-func adaptShard(proc *rebuild.Processor, sc *scorer.Scorer) error {
-	sys, err := core.NewSystem(core.Config{
-		Trainer:  rmi.PiecewiseTrainer(1.0 / 256),
-		Selector: core.SelectorLearned,
-		Scorer:   sc,
-	})
-	if err != nil {
-		return err
-	}
-	mon := monitor.New(geo.UnitRect)
-	proc.Monitor = mon
-	proc.Workload = &rebuild.WorkloadAdapter{Mon: mon, Sys: sys}
-	proc.Factory = func() rebuild.Rebuildable {
-		return zm.New(zm.Config{Space: geo.UnitRect, Builder: sys, Fanout: 8})
-	}
-	return nil
 }
 
 // dialPool builds the bounded client pool for a target URL.
@@ -451,8 +262,9 @@ var windowSizes = [4]float64{0.004, 0.008, 0.012, 0.016}
 
 // newMixer parses "p:w:k" or "p:w:k:i:d" ratios and, for s > 1, seeds
 // the Zipf hotspot pool with the first `hotspots` points of the
-// uniform data set — the same prefix startInproc serves, so hot point
-// queries are guaranteed members.
+// uniform data set — the same prefix elsid serves at its default
+// -dataset uniform and the same -seed, so hot point queries are
+// guaranteed members.
 func newMixer(mix string, s float64, hotspots int, seed int64) (*mixer, error) {
 	parts := strings.Split(mix, ":")
 	if len(parts) != 3 && len(parts) != 5 {
@@ -544,8 +356,6 @@ type latencySummary struct {
 type runResult struct {
 	Transport    string                    `json:"transport"`
 	Target       string                    `json:"target"`
-	Shards       int                       `json:"shards,omitempty"`
-	CacheOn      bool                      `json:"cache_on,omitempty"`
 	CacheHitRate float64                   `json:"cache_hit_rate,omitempty"`
 	AchievedRPS  float64                   `json:"achieved_rps"`
 	Overall      latencySummary            `json:"overall"`

@@ -131,16 +131,6 @@ func Enable(name string, f Fault) {
 	active.Store(true)
 }
 
-// Disable disarms the named injection point.
-func Disable(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	delete(table, name)
-	if len(table) == 0 {
-		active.Store(false)
-	}
-}
-
 // Reset disarms every injection point. Tests defer it after arming.
 func Reset() {
 	mu.Lock()

@@ -90,25 +90,6 @@ func TestDelayModeProceeds(t *testing.T) {
 	}
 }
 
-func TestDisableAndArmed(t *testing.T) {
-	Reset()
-	defer Reset()
-	Enable("b", Fault{Mode: ModeError})
-	Enable("a", Fault{Mode: ModeError})
-	got := Armed()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Armed() = %v, want [a b]", got)
-	}
-	Disable("a")
-	if err := Hit("a"); err != nil {
-		t.Fatalf("disabled Hit = %v, want nil", err)
-	}
-	Disable("b")
-	if err := Hit("b"); err != nil {
-		t.Fatalf("Hit after all disabled = %v, want nil", err)
-	}
-}
-
 func TestParseSpec(t *testing.T) {
 	Reset()
 	defer Reset()

@@ -82,9 +82,6 @@ type Config struct {
 	Pred *rebuild.Predictor
 	// Fu is the per-shard predictor check frequency (0 = default).
 	Fu int
-	// UseBuiltin routes updates through the index's own
-	// Inserter/Deleter instead of the delta list, as at create time.
-	UseBuiltin bool
 	// Configure, when non-nil, runs on every processor after
 	// construction or recovery (install Retry policies etc.).
 	Configure func(p *rebuild.Processor)
@@ -326,7 +323,6 @@ func Create(cfg Config, pts []geo.Point) (*Store, error) {
 			return nil, err
 		}
 		proc.Factory = cfg.Factory
-		proc.UseBuiltin = cfg.UseBuiltin
 		if cfg.Configure != nil {
 			cfg.Configure(proc)
 		}
@@ -476,7 +472,6 @@ func recoverShard(cfg Config, i int, family string) (*rebuild.Processor, *wal.Lo
 	}
 	proc := rebuild.RestoreProcessor(idx, cfg.Pred, cfg.MapKey, cfg.Fu, st)
 	proc.Factory = cfg.Factory
-	proc.UseBuiltin = cfg.UseBuiltin
 	if cfg.Configure != nil {
 		cfg.Configure(proc)
 	}

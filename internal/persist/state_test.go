@@ -8,45 +8,25 @@ import (
 
 	"elsi/internal/base"
 	"elsi/internal/geo"
-	"elsi/internal/grid"
 	"elsi/internal/index"
-	"elsi/internal/kdb"
-	"elsi/internal/lisa"
-	"elsi/internal/mlindex"
 	"elsi/internal/rmi"
-	"elsi/internal/rsmi"
-	"elsi/internal/rtree"
 	"elsi/internal/snapshot"
 	"elsi/internal/zm"
 )
 
-// stateFamilies enumerates every 2-D index family with a constructor
-// closure, so the roundtrip property below runs against all of them
-// with one body. Each call returns a fresh, unbuilt instance of the
-// same configuration — exactly how recovery constructs the index it
-// overlays the persisted state onto.
+// stateFamilies enumerates the 2-D index families elsid can persist
+// (-index zm|brute) with a constructor closure, so the roundtrip
+// property below runs against each of them with one body. Each call
+// returns a fresh, unbuilt instance of the same configuration —
+// exactly how recovery constructs the index it overlays the persisted
+// state onto.
 func stateFamilies() map[string]func() index.Index {
-	builder := func() base.ModelBuilder {
-		return &base.Direct{Trainer: rmi.PiecewiseTrainer(1.0 / 64)}
-	}
 	return map[string]func() index.Index{
 		"zm": func() index.Index {
-			return zm.New(zm.Config{Space: geo.UnitRect, Builder: builder(), Fanout: 4})
+			builder := &base.Direct{Trainer: rmi.PiecewiseTrainer(1.0 / 64)}
+			return zm.New(zm.Config{Space: geo.UnitRect, Builder: builder, Fanout: 4})
 		},
-		"mlindex": func() index.Index {
-			return mlindex.New(mlindex.Config{Space: geo.UnitRect, Builder: builder(), Refs: 8, Fanout: 4, Seed: 1})
-		},
-		"lisa": func() index.Index {
-			return lisa.New(lisa.Config{Space: geo.UnitRect, Builder: builder()})
-		},
-		"rsmi": func() index.Index {
-			return rsmi.New(rsmi.Config{Space: geo.UnitRect, Builder: builder(), Fanout: 4, LeafCap: 500})
-		},
-		"grid":   func() index.Index { return grid.New(geo.UnitRect) },
-		"kdb":    func() index.Index { return kdb.New(geo.UnitRect) },
-		"hrr":    func() index.Index { return rtree.NewHRR(geo.UnitRect) },
-		"rrstar": func() index.Index { return rtree.NewRRStar(geo.UnitRect) },
-		"brute":  func() index.Index { return index.NewBruteForce() },
+		"brute": func() index.Index { return index.NewBruteForce() },
 	}
 }
 
@@ -83,9 +63,10 @@ func samePts(a, b []geo.Point) bool {
 }
 
 // TestStaterRoundtripAllFamilies is the central persistence property:
-// for every family, build → serialize → restore onto a fresh instance
-// yields an index whose serialized state and query answers are
-// identical to the original's, with zero model training on restore.
+// for every persistable family, build → serialize → restore onto a
+// fresh instance yields an index whose serialized state and query
+// answers are identical to the original's, with zero model training
+// on restore.
 func TestStaterRoundtripAllFamilies(t *testing.T) {
 	pts := statePoints(3000, 42)
 	qrng := rand.New(rand.NewSource(7))
@@ -153,11 +134,11 @@ func TestStaterRoundtripAllFamilies(t *testing.T) {
 	}
 }
 
-// TestStaterHostileInput feeds damaged state blobs to every family's
-// RestoreState: truncations must fail with an error and bit flips must
-// never panic (they may decode to a valid different state, but any
-// structural inconsistency — unsorted keys, dangling counts — must be
-// rejected, not trusted).
+// TestStaterHostileInput feeds damaged state blobs to every
+// persistable family's RestoreState: truncations must fail with an
+// error and bit flips must never panic (they may decode to a valid
+// different state, but any structural inconsistency — unsorted keys,
+// dangling counts — must be rejected, not trusted).
 func TestStaterHostileInput(t *testing.T) {
 	pts := statePoints(800, 11)
 	for name, mk := range stateFamilies() {

@@ -204,13 +204,3 @@ func (p *Processor) BreakerOpen() bool {
 	defer p.mu.RUnlock()
 	return p.breakerOpen
 }
-
-// ResetBreaker closes the circuit breaker and clears the failure
-// streak, re-enabling background rebuilds (e.g. after an operator
-// fixed the underlying fault).
-func (p *Processor) ResetBreaker() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.breakerOpen = false
-	p.consecFail = 0
-}

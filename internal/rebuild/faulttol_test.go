@@ -216,37 +216,16 @@ func TestBreakerPinsToInline(t *testing.T) {
 	if !p.Index().PointQuery(ins) {
 		t.Error("inline rebuild lost the overlay insert")
 	}
-}
 
-// TestResetBreaker re-enables background rebuilds after an operator
-// reset.
-func TestResetBreaker(t *testing.T) {
-	pts := dataset.MustGenerate(dataset.Uniform, 300, 31)
-	p, err := NewProcessor(index.NewBruteForce(), nil, pts, xKey, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var calls atomic.Int64
-	p.Factory = failingFactory(&calls, errors.New("down"))
-	p.BreakerThreshold = 2
-	p.Retry = &RetryPolicy{Base: time.Millisecond, Seed: 1, Sleep: func(time.Duration) {}}
-
-	p.Rebuild()
-	waitUntil(t, p.BreakerOpen, "breaker to open")
-	waitUntil(t, func() bool { return !p.Rebuilding() && !p.RetryPending() }, "retry chain to drain")
-
-	p.ResetBreaker()
-	if p.BreakerOpen() || p.ConsecutiveFailures() != 0 {
-		t.Fatal("ResetBreaker did not clear the breaker state")
-	}
-	// background rebuilds run again (the fault is still there, so the
-	// attempt fails — but it does run)
-	before := calls.Load()
+	// With the breaker closed, background rebuilds run again: the next
+	// Rebuild calls the factory (the fault is still there, so the
+	// attempt fails — but it does run).
+	before = calls.Load()
 	p.Rebuild()
 	p.WaitRebuild()
-	waitUntil(t, func() bool { return !p.RetryPending() && !p.Rebuilding() }, "post-reset chain to drain")
+	waitUntil(t, func() bool { return !p.RetryPending() && !p.Rebuilding() }, "post-close chain to drain")
 	if calls.Load() == before {
-		t.Error("ResetBreaker did not re-enable background rebuilds")
+		t.Error("closed breaker did not re-enable background rebuilds")
 	}
 }
 

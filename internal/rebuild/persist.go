@@ -27,8 +27,7 @@ type State struct {
 
 // CaptureState snapshots the processor under the read lock and encodes
 // the wrapped index through encodeIdx while the lock is held, so the
-// index bytes and the delta records describe the same instant — even
-// for UseBuiltin families, whose built-in inserts take the write lock.
+// index bytes and the delta records describe the same instant.
 //
 // When a background rebuild is in flight the capture describes the
 // serving state: the old index plus the frozen view merged with the

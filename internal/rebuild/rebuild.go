@@ -218,7 +218,7 @@ type Processor struct {
 	// are suppressed — the processor serves from the last good index
 	// plus the delta overlay — and an explicit Rebuild() runs inline
 	// (blocking) instead of spawning another doomed background build.
-	// The breaker closes on the next successful rebuild or ResetBreaker.
+	// The breaker closes on the next successful rebuild.
 	BreakerThreshold int
 
 	// mu guards everything below. Background builds run outside the

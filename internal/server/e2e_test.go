@@ -56,7 +56,7 @@ func startServer(t *testing.T, proc *rebuild.Processor, cfg engine.Config) (*ser
 	if err := srv.Start(context.Background(), "127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
 	return srv, eng
 }
 
@@ -510,7 +510,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	waitUntil(t, "4 queries parked", func() bool { return eng.Stats().Queued == 4 })
 
 	start := time.Now()
-	if err := srv.Close(); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()

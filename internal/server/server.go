@@ -203,15 +203,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// Close is the io.Closer form of Shutdown with a 30-second bound on
-// the HTTP response drain.
-func (s *Server) Close() error {
-	//lint:ignore ctxprop io.Closer compatibility wrapper; Shutdown is the context-aware form
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return s.Shutdown(ctx)
-}
-
 // --- HTTP transport -----------------------------------------------------
 
 // Handler returns the HTTP API:

@@ -55,7 +55,7 @@ func TestShardedServerE2E(t *testing.T) {
 	if err := srv.Start(context.Background(), "127.0.0.1:0", "127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
 
 	hc := &client.HTTP{Base: "http://" + srv.HTTPAddr()}
 	tc, err := client.DialTCP(srv.TCPAddr())

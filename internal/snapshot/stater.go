@@ -1,7 +1,9 @@
 package snapshot
 
-// Stater is implemented by every index family that can round-trip its
-// trained state through a snapshot. StateAppend serializes the
+// Stater is implemented by the index families a persistent store can
+// hold: zm.Index and index.BruteForce, the two elsid serves. The other
+// families are built in memory by the experiment harness and are never
+// persisted, so they carry no codec. StateAppend serializes the
 // family's full post-build state — SoA columns, trained model
 // parameters, build stats — onto b using this package's Append
 // primitives; RestoreState rebuilds that state on a freshly

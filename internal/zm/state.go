@@ -62,7 +62,7 @@ func (ix *Index) RestoreState(data []byte) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("zm: decode state: %w", err)
 	}
-	if err := ValidateColumns(keys, pts); err != nil {
+	if err := validateColumns(keys, pts); err != nil {
 		return fmt.Errorf("zm: %w", err)
 	}
 	staged, err := rmi.DecodeStaged(d)
@@ -87,11 +87,11 @@ func (ix *Index) RestoreState(data []byte) error {
 	return nil
 }
 
-// ValidateColumns checks the parallel-column invariants a sorted store
-// requires: equal lengths and ascending keys. Shared by the learned
-// indices' RestoreState implementations because store.NewSortedColumns
-// enforces the same invariants by panicking.
-func ValidateColumns(keys []float64, pts []geo.Point) error {
+// validateColumns checks the parallel-column invariants a sorted store
+// requires: equal lengths and ascending keys. RestoreState checks them
+// itself because store.NewSortedColumns enforces the same invariants
+// by panicking.
+func validateColumns(keys []float64, pts []geo.Point) error {
 	if len(keys) != len(pts) {
 		return fmt.Errorf("key/point columns mismatch: %d vs %d", len(keys), len(pts))
 	}
