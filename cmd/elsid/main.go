@@ -33,6 +33,7 @@ import (
 	"elsi/internal/engine"
 	"elsi/internal/geo"
 	"elsi/internal/index"
+	"elsi/internal/methods"
 	"elsi/internal/monitor"
 	"elsi/internal/persist"
 	"elsi/internal/qcache"
@@ -84,12 +85,22 @@ func main() {
 func run(httpAddr, tcpAddr, family, data, dataDir, fsync string, n int, seed int64, fu, shards int, adaptive bool, cfg engine.Config) error {
 	log.SetPrefix("elsid: ")
 	log.SetFlags(log.Ltime)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	boot := time.Now()
+
+	// The learners train in the background from here on, beside the
+	// data set and the index build; only their consumers wait for them.
+	pred, sc, err := startLearners(ctx, seed, adaptive)
+	if err != nil {
+		return err
+	}
 
 	// With a data directory that already holds a store, the initial
 	// data set comes off disk, not the generator.
+	recovered := dataDir != "" && persist.Exists(dataDir)
 	var pts []geo.Point
-	if dataDir == "" || !persist.Exists(dataDir) {
-		var err error
+	if !recovered {
 		pts, err = dataset.Generate(data, n, seed)
 		if err != nil {
 			return err
@@ -98,11 +109,13 @@ func run(httpAddr, tcpAddr, family, data, dataDir, fsync string, n int, seed int
 	if fu <= 0 {
 		fu = n / 10
 	}
+	dataDone := time.Since(boot)
 
-	be, closeBE, err := buildBackend(family, pts, seed, fu, shards, cfg.Workers, dataDir, fsync, adaptive)
+	be, closeBE, err := buildBackend(family, pts, pred, sc, fu, shards, cfg.Workers, dataDir, fsync)
 	if err != nil {
 		return err
 	}
+	built := time.Since(boot)
 	if adaptive {
 		log.Printf("adaptive selection on: per-shard monitors feed the ELSI scorer at every rebuild")
 	}
@@ -111,11 +124,10 @@ func run(httpAddr, tcpAddr, family, data, dataDir, fsync string, n int, seed int
 	}
 	eng := engine.NewWithBackend(be, nil, cfg)
 	srv := server.New(eng)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if err := srv.Start(ctx, httpAddr, tcpAddr); err != nil {
 		return err
 	}
+	listening := time.Since(boot)
 	if a := srv.HTTPAddr(); a != "" {
 		log.Printf("HTTP on http://%s (POST /query/{point,window,knn}, /insert, /delete; GET /stats)", a)
 	}
@@ -127,6 +139,11 @@ func run(httpAddr, tcpAddr, family, data, dataDir, fsync string, n int, seed int
 	} else {
 		log.Printf("serving %d %s points over %s", st.Len, data, family)
 	}
+	booted := make(chan struct{})
+	go func() {
+		defer close(booted)
+		logBoot(ctx, boot, recovered, dataDone, built-dataDone, listening, pred, sc)
+	}()
 
 	<-ctx.Done()
 	stop()
@@ -136,6 +153,7 @@ func run(httpAddr, tcpAddr, family, data, dataDir, fsync string, n int, seed int
 	if err := srv.Shutdown(sctx); err != nil {
 		return err
 	}
+	<-booted // the cancelled context stops any training still running
 	st := eng.Stats()
 	log.Printf("drained: %d point, %d window, %d kNN queries, %d inserts, %d deletes, %d rebuilds, %d batches",
 		st.PointQueries, st.WindowQueries, st.KNNQueries, st.Inserts, st.Deletes, st.Rebuilds, st.Batches)
@@ -149,11 +167,59 @@ func run(httpAddr, tcpAddr, family, data, dataDir, fsync string, n int, seed int
 	return nil
 }
 
+// logBoot waits for the learners and logs the boot phases, each a
+// monotonic duration: generating the data set and building the index
+// (or recovering both from disk), then the time since boot at which
+// the listeners took connections and at which each learner had
+// finished training.
+func logBoot(ctx context.Context, boot time.Time, recovered bool, data, build, listening time.Duration, pred *rebuild.Predictor, sc *scorer.Scorer) {
+	ms := func(d time.Duration) string { return fmt.Sprintf("%.1fms", float64(d)/float64(time.Millisecond)) }
+	line := fmt.Sprintf("boot: data generated in %s, build %s", ms(data), ms(build))
+	if recovered {
+		line = "boot: data and index recovered in " + ms(data+build)
+	}
+	line += ", listening after " + ms(listening)
+	pred.Wait()
+	line += ", predictor ready after " + ms(time.Since(boot))
+	if sc != nil {
+		sc.PredictSpeedups(methods.NameOG, 1, 0) // waits for the scorer's training
+		line += ", scorer ready after " + ms(time.Since(boot))
+	}
+	if ctx.Err() != nil {
+		line += " (training stopped by shutdown)"
+	}
+	log.Print(line)
+}
+
+// startLearners starts training the rebuild predictor and, with
+// adaptive, the method scorer on background goroutines bound to ctx.
+// Both train on fabricated samples seeded by seed; neither is needed
+// to build, recover or serve reads — a write's rebuild-trigger check
+// waits for the predictor, and adaptive rebuilds wait for the scorer
+// when they select a method.
+func startLearners(ctx context.Context, seed int64, adaptive bool) (*rebuild.Predictor, *scorer.Scorer, error) {
+	pred, err := rebuild.TrainPredictorCtx(ctx,
+		rebuild.HeuristicSamples(rand.New(rand.NewSource(seed)), 1000),
+		rebuild.PredictorConfig{Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	if !adaptive {
+		return pred, nil, nil
+	}
+	sc, err := scorer.TrainCtx(ctx, scorer.HeuristicSamples(), scorer.Config{Seed: seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	return pred, sc, nil
+}
+
 // buildBackend assembles the serving backend: for shards <= 1 a single
 // update processor, otherwise a Hilbert-partitioned router of shard
-// processors sharing one trained rebuild predictor. The per-shard
-// predictor check frequency is fu divided across the shards, keeping
-// the fleet-wide check cadence of the unsharded configuration.
+// processors sharing one rebuild predictor. The per-shard predictor
+// check frequency is fu divided across the shards, keeping the
+// fleet-wide check cadence of the unsharded configuration. The
+// learners may still be training: nothing here waits for them.
 //
 // With a data directory the backend is the durable persist.Store —
 // recovered from disk when the directory already holds one (pts is
@@ -161,18 +227,14 @@ func run(httpAddr, tcpAddr, family, data, dataDir, fsync string, n int, seed int
 // non-nil exactly in the durable case; run calls it after the drain so
 // the clean-shutdown snapshot covers every acknowledged update.
 //
-// With adaptive, each shard processor gets a workload monitor and its
-// own ELSI System (learned selection over a shared heuristic-trained
+// With a scorer (-adaptive), each shard processor gets a workload
+// monitor and its own ELSI System (learned selection over the shared
 // scorer): the traffic observed since the last rebuild re-scores the
-// method pool at the next one. Wired through configure so it applies
-// identically to in-memory, created, and recovered durable backends.
-func buildBackend(family string, pts []geo.Point, seed int64, fu, shards, workers int, dataDir, fsync string, adaptive bool) (engine.Backend, func() error, error) {
-	pred, err := rebuild.TrainPredictor(
-		rebuild.HeuristicSamples(rand.New(rand.NewSource(seed)), 1000),
-		rebuild.PredictorConfig{Seed: seed})
-	if err != nil {
-		return nil, nil, err
-	}
+// method pool at the next one. The initial build uses the family's
+// own factory and never asks the scorer. Wired through configure so
+// it applies identically to in-memory, created, and recovered durable
+// backends.
+func buildBackend(family string, pts []geo.Point, pred *rebuild.Predictor, sc *scorer.Scorer, fu, shards, workers int, dataDir, fsync string) (engine.Backend, func() error, error) {
 	factory, mapKey, err := familyStack(family)
 	if err != nil {
 		return nil, nil, err
@@ -180,13 +242,9 @@ func buildBackend(family string, pts []geo.Point, seed int64, fu, shards, worker
 	configure := func(p *rebuild.Processor) {
 		p.Retry = &rebuild.RetryPolicy{}
 	}
-	if adaptive {
+	if sc != nil {
 		if family != "zm" {
 			return nil, nil, fmt.Errorf("-adaptive needs a model-built family (zm), not %q", family)
-		}
-		sc, err := scorer.Train(scorer.HeuristicSamples(), scorer.Config{Seed: seed})
-		if err != nil {
-			return nil, nil, err
 		}
 		configure = func(p *rebuild.Processor) {
 			p.Retry = &rebuild.RetryPolicy{}
@@ -244,7 +302,7 @@ func buildBackend(family string, pts []geo.Point, seed int64, fu, shards, worker
 					sr.Shard, sr.SnapshotLSN, sr.SnapshotBytes, sr.Load.Round(time.Microsecond),
 					sr.WALRecords, sr.Replay.Round(time.Microsecond), torn)
 			}
-			log.Printf("recovery complete: %d shards, no model training, %v total", len(rec.Shards), rec.Total.Round(time.Millisecond))
+			log.Printf("recovery complete: %d shards, no index model trained, %v total", len(rec.Shards), rec.Total.Round(time.Millisecond))
 			return store, store.Close, nil
 		}
 		store, err := persist.Create(pcfg, pts)

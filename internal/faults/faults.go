@@ -23,7 +23,8 @@
 // Injection-point names form a small namespace, documented in
 // DESIGN.md §9: "build/<METHOD>" at pool-builder entry (SP, CL, MR,
 // RS, RL, RSP, OG), "bounds/scan" in the empirical error-bound scan,
-// and "rebuild/background" in the background rebuild goroutine.
+// "rebuild/background" in the background rebuild goroutine, and
+// "rebuild/train" in the rebuild predictor's training goroutine.
 package faults
 
 import (

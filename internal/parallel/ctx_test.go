@@ -102,9 +102,9 @@ func TestForCtxPanicOutranksCancel(t *testing.T) {
 	}
 }
 
-// TestMaxReduceCtxMatchesMaxReduce checks the parallel reduction against one
+// TestMaxReduceCtxMatchesSerialChunk checks the parallel reduction against one
 // serial call of chunk over the whole range.
-func TestMaxReduceCtxMatchesMaxReduce(t *testing.T) {
+func TestMaxReduceCtxMatchesSerialChunk(t *testing.T) {
 	n := 50000
 	vals := make([]int, n)
 	for i := range vals {

@@ -120,7 +120,7 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
-func TestNonEmptyLeafCountBound(t *testing.T) {
+func TestNonEmptyLeavesBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := dataset.UniformPoints(rng, 5000)
 	beta := 100

@@ -93,8 +93,9 @@ func RestoreProcessor(idx Rebuildable, pred *Predictor, mapKey func(geo.Point) f
 
 // ReplayInsert applies a WAL insert record during recovery: the same
 // routing as Insert — including the UseBuiltin path — minus the
-// rebuild trigger, so replay never trains a model. It reports whether
-// the insert applied (false mirrors Insert's duplicate no-op).
+// rebuild trigger, so replay never trains a model and never waits for
+// the predictor's training. It reports whether the insert applied
+// (false mirrors Insert's duplicate no-op).
 func (p *Processor) ReplayInsert(pt geo.Point) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -12,6 +12,7 @@
 package rebuild
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -66,8 +67,17 @@ type Sample struct {
 }
 
 // Predictor is the FFN rebuild predictor C_RB.
+//
+// A predictor from TrainPredictorCtx is usable before its training has
+// ended: ShouldRebuild answers false until then, and Wait blocks until
+// it has. The update processor waits (with its lock released) before a
+// trigger check, so its rebuild decisions are those of the trained net.
 type Predictor struct {
 	net *nn.Network
+	// ready is closed when training ends; nil for a predictor that was
+	// loaded rather than trained. err is written before the close.
+	ready chan struct{}
+	err   error
 }
 
 // PredictorConfig controls predictor training.
@@ -77,8 +87,26 @@ type PredictorConfig struct {
 	Seed   int64
 }
 
-// TrainPredictor fits the binary FFN on labelled samples.
+// TrainPredictor fits the binary FFN on labelled samples and returns
+// once training has ended.
 func TrainPredictor(samples []Sample, cfg PredictorConfig) (*Predictor, error) {
+	p, err := TrainPredictorCtx(context.Background(), samples, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.Wait()
+	if p.err != nil {
+		return nil, p.err
+	}
+	return p, nil
+}
+
+// TrainPredictorCtx validates the samples, then fits the binary FFN on
+// a background goroutine and returns at once. Cancelling ctx stops the
+// training at the next epoch boundary; a cancelled (or failed)
+// predictor never asks for a rebuild, so no decision is ever taken by a
+// half-trained net. The weights are bit-identical to TrainPredictor's.
+func TrainPredictorCtx(ctx context.Context, samples []Sample, cfg PredictorConfig) (*Predictor, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("rebuild: no training samples")
 	}
@@ -100,15 +128,48 @@ func TrainPredictor(samples []Sample, cfg PredictorConfig) (*Predictor, error) {
 			ys[i] = []float64{0}
 		}
 	}
-	if _, err := net.Train(xs, ys, nn.Config{LearningRate: 0.01, Epochs: cfg.Epochs, BatchSize: 16, Seed: cfg.Seed}); err != nil {
-		return nil, err
-	}
-	return &Predictor{net: net}, nil
+	p := &Predictor{net: net, ready: make(chan struct{})}
+	go func() {
+		defer close(p.ready)
+		// Injection point: "rebuild/train" holds or fails the training.
+		if p.err = faults.HitCtx(ctx, "rebuild/train"); p.err != nil {
+			return
+		}
+		_, p.err = net.Train(xs, ys, nn.Config{LearningRate: 0.01, Epochs: cfg.Epochs, BatchSize: 16, Seed: cfg.Seed,
+			Cancel: func() bool { return ctx.Err() != nil }})
+	}()
+	return p, nil
 }
 
-// ShouldRebuild runs the predictor (output thresholded at 0.5).
+// Wait blocks until the predictor's training has ended (completed,
+// failed or cancelled). It returns at once for a loaded predictor and
+// for a nil one.
+func (p *Predictor) Wait() {
+	if p != nil && p.ready != nil {
+		<-p.ready
+	}
+}
+
+// training reports, without blocking, whether training is still
+// running.
+func (p *Predictor) training() bool {
+	if p.ready == nil {
+		return false
+	}
+	select {
+	case <-p.ready:
+		return false
+	default:
+		return true
+	}
+}
+
+// ShouldRebuild runs the predictor (output thresholded at 0.5). It
+// never blocks: while training runs, and after it was cancelled or
+// failed, the answer is false; the net is read only once training has
+// ended.
 func (p *Predictor) ShouldRebuild(f Features) bool {
-	return p.net.Forward1(f.vector()) > 0.5
+	return !p.training() && p.err == nil && p.net.Forward1(f.vector()) > 0.5
 }
 
 // HeuristicSamples fabricates a labelled training set from the
@@ -330,6 +391,10 @@ func summarize(pts []geo.Point, mapKey func(geo.Point) float64) (keys []float64,
 // second copy into the overlay and window/kNN answers emitted the
 // point twice (and the duplicate pushed a true neighbor out of kNN
 // answers).
+//
+// An insert that falls on a trigger check while the rebuild predictor
+// still trains returns only once the training has ended (see
+// maybeRebuildLocked); it is applied, and visible, before that.
 func (p *Processor) Insert(pt geo.Point) bool {
 	p.Monitor.RecordInsert(pt)
 	p.mu.Lock()
@@ -356,7 +421,8 @@ func (p *Processor) Insert(pt geo.Point) bool {
 // matching the query-time deletion filter, which drops every answer
 // copy equal to a deleted point): all copies leave the source-of-truth
 // point set, so pre- and post-rebuild answers agree even if the
-// initial build set contained duplicates.
+// initial build set contained duplicates. A trigger check waits for the
+// predictor's training as in Insert.
 func (p *Processor) Delete(pt geo.Point) bool {
 	p.Monitor.RecordDelete(pt)
 	p.mu.Lock()
@@ -392,9 +458,23 @@ func (p *Processor) Delete(pt geo.Point) bool {
 // with the write lock held. With the circuit breaker open (or a retry
 // already scheduled) automatic rebuilds are suppressed: the processor
 // keeps serving from the last good index plus the delta overlay.
+//
+// A check that falls due while the predictor still trains releases the
+// lock, waits for the training to end, and re-takes the lock before it
+// decides — so the decision is the trained net's, no channel wait
+// happens under mu, and readers and other writers go on meanwhile. A
+// sequential update stream therefore gets the same decisions at the
+// same updates as with a predictor trained beforehand.
 func (p *Processor) maybeRebuildLocked() bool {
-	if p.pred == nil || p.rebuilding || p.retryPending || p.breakerOpen ||
-		p.updatesSeen == 0 || p.updatesSeen%p.Fu != 0 {
+	if p.pred == nil || p.updatesSeen == 0 || p.updatesSeen%p.Fu != 0 {
+		return false
+	}
+	if p.pred.training() {
+		p.mu.Unlock()
+		p.pred.Wait()
+		p.mu.Lock()
+	}
+	if p.rebuilding || p.retryPending || p.breakerOpen {
 		return false
 	}
 	if !p.pred.ShouldRebuild(p.currentFeaturesLocked()) {

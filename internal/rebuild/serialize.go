@@ -8,8 +8,13 @@ import (
 
 // MarshalBinary implements encoding.BinaryMarshaler so the rebuild
 // predictor — like the method scorer, an offline one-off training —
-// can be persisted and reused.
+// can be persisted and reused. It waits for training to end and
+// refuses a predictor whose training was cancelled or failed.
 func (p *Predictor) MarshalBinary() ([]byte, error) {
+	p.Wait()
+	if p.err != nil {
+		return nil, p.err
+	}
 	return p.net.MarshalBinary()
 }
 

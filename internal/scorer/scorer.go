@@ -12,6 +12,7 @@
 package scorer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -54,9 +55,17 @@ func features(method string, n int, dist float64) []float64 {
 }
 
 // Scorer is the FFN-based method scorer.
+//
+// A scorer from TrainCtx is returned while its nets still train;
+// PredictSpeedups (and so Score, Select and Rank) and MarshalBinary
+// wait for the training to end.
 type Scorer struct {
 	buildNet *nn.Network
 	queryNet *nn.Network
+	// ready is closed when training ends; nil for a loaded scorer. err
+	// is written before the close.
+	ready chan struct{}
+	err   error
 }
 
 // Config controls scorer training.
@@ -66,10 +75,27 @@ type Config struct {
 	Seed   int64
 }
 
-// Train fits the two cost FFNs on ground-truth samples. Speedups are
-// learned in log10 space, which linearizes the orders-of-magnitude
-// spread of Table II.
+// Train fits the two cost FFNs on ground-truth samples and returns once
+// training has ended. Speedups are learned in log10 space, which
+// linearizes the orders-of-magnitude spread of Table II.
 func Train(samples []Sample, cfg Config) (*Scorer, error) {
+	s, err := TrainCtx(context.Background(), samples, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.wait()
+	if s.err != nil {
+		return nil, s.err
+	}
+	return s, nil
+}
+
+// TrainCtx validates the samples, then fits the two cost FFNs on a
+// background goroutine and returns at once. Cancelling ctx stops the
+// training at the next epoch boundary; the nets then keep the weights
+// of the epochs that completed. The weights are bit-identical to
+// Train's.
+func TrainCtx(ctx context.Context, samples []Sample, cfg Config) (*Scorer, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("scorer: no training samples")
 	}
@@ -83,6 +109,7 @@ func Train(samples []Sample, cfg Config) (*Scorer, error) {
 	s := &Scorer{
 		buildNet: nn.New(rng, featureDim, cfg.Hidden, 1),
 		queryNet: nn.New(rng, featureDim, cfg.Hidden, 1),
+		ready:    make(chan struct{}),
 	}
 	xs := make([][]float64, len(samples))
 	yb := make([][]float64, len(samples))
@@ -92,21 +119,30 @@ func Train(samples []Sample, cfg Config) (*Scorer, error) {
 		yb[i] = []float64{logSpeedup(sm.BuildSpeedup)}
 		yq[i] = []float64{logSpeedup(sm.QuerySpeedup)}
 	}
-	nnCfg := nn.Config{LearningRate: 0.01, Epochs: cfg.Epochs, BatchSize: 32, Seed: cfg.Seed}
-	// The two cost nets are independent (separate weights, own seeded
-	// shuffles), so they train concurrently.
-	var errB, errQ error
-	parallel.Do(
-		func() { _, errB = s.buildNet.Train(xs, yb, nnCfg) },
-		func() { _, errQ = s.queryNet.Train(xs, yq, nnCfg) },
-	)
-	if errB != nil {
-		return nil, errB
-	}
-	if errQ != nil {
-		return nil, errQ
-	}
+	nnCfg := nn.Config{LearningRate: 0.01, Epochs: cfg.Epochs, BatchSize: 32, Seed: cfg.Seed,
+		Cancel: func() bool { return ctx.Err() != nil }}
+	go func() {
+		defer close(s.ready)
+		// The two cost nets are independent (separate weights, own
+		// seeded shuffles), so they train concurrently.
+		var errB, errQ error
+		parallel.Do(
+			func() { _, errB = s.buildNet.Train(xs, yb, nnCfg) },
+			func() { _, errQ = s.queryNet.Train(xs, yq, nnCfg) },
+		)
+		s.err = errB
+		if s.err == nil {
+			s.err = errQ
+		}
+	}()
 	return s, nil
+}
+
+// wait blocks until training has ended; at once for a loaded scorer.
+func (s *Scorer) wait() {
+	if s.ready != nil {
+		<-s.ready
+	}
 }
 
 // logSpeedup clamps and logs a speedup factor.
@@ -119,8 +155,10 @@ func logSpeedup(v float64) float64 {
 
 // PredictSpeedups returns the predicted (log10) build and query
 // speedups of method on a data set with the given cardinality and
-// uniform distance (Component 3 of Figure 4).
+// uniform distance (Component 3 of Figure 4). It waits for training to
+// end.
 func (s *Scorer) PredictSpeedups(method string, n int, dist float64) (build, query float64) {
+	s.wait()
 	x := features(method, n, dist)
 	return s.buildNet.Forward1(x), s.queryNet.Forward1(x)
 }

@@ -19,8 +19,13 @@ type scorerWire struct {
 // scorer — the expensive offline preparation of Section VII-B2 — can
 // be persisted and reused across runs and data sets, as the paper
 // prescribes ("once learned, the ELSI method selector ... can be
-// reused for different data sets").
+// reused for different data sets"). It waits for training to end and
+// refuses a scorer whose training was cancelled or failed.
 func (s *Scorer) MarshalBinary() ([]byte, error) {
+	s.wait()
+	if s.err != nil {
+		return nil, s.err
+	}
 	b, err := s.buildNet.MarshalBinary()
 	if err != nil {
 		return nil, err

@@ -130,7 +130,7 @@ func TestBadMagicIsFormatError(t *testing.T) {
 	}
 }
 
-func TestLatestGCAndList(t *testing.T) {
+func TestLatestGCAndDirListing(t *testing.T) {
 	dir := t.TempDir()
 	if _, _, err := Latest(dir); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("empty dir: %v", err)

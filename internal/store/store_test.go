@@ -24,7 +24,7 @@ func makeSorted(t *testing.T, n int, seed int64) *Sorted {
 	return NewSortedColumns(keys, pts)
 }
 
-func TestNewSortedMismatchPanics(t *testing.T) {
+func TestNewSortedColumnsMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic on length mismatch")
